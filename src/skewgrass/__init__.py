@@ -59,6 +59,7 @@ from .groups import (
     act_on_ideal,
     acts_trivially_on_type,
     exists_free,
+    fixing_element,
     orbit,
     search_free,
     stabilizer,

@@ -4,14 +4,15 @@ M_n(D) is a Q-vector space on the elements E_st * b_u (entry b_u at position
 (s, t)), ordered by (s, t, u); an automorphism is a rational matrix in that
 coordinate system.  Every automorphism factors as M -> P sigma(M) P^{-1}
 where sigma applies a lifted center automorphism entrywise and P is
-invertible over D.  sigma is pinned down by the action on the center, and P
-is found by solving the linear equations f(B) P = P B, which have a one
-dimensional solution space over the center once sigma has been split off.
+invertible over D.  sigma is pinned down by the action on the center.
+Once it is split off, P is built from matrix units: the images of E_i1
+give a frame Q that carries E_ij to itself, and the automorphism of D left
+over is inner by Skolem-Noether, conjugation by a unit u found from a
+d^2 x d rational system, so P = Q u up to a central factor.
 """
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
 
 from . import qlinalg
@@ -35,9 +36,6 @@ from .linalg import (
     subseed,
     try_inverse,
 )
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 class Block:
@@ -246,82 +244,81 @@ def restrict_to_center(f: MatrixAlgebraAutomorphism):
     return verify_center_automorphism(cen, gamma)
 
 
-def _left_mul_operator(block: Block, a: MatrixOverD):
-    """Rational matrix of X -> a X on block coordinates."""
-    dq = block.dim_q
-    cols = [block.flatten(a * block.basis_matrix(q)) for q in range(dq)]
-    return [[cols[q][r] for q in range(dq)] for r in range(dq)]
+def _intertwining_unit(alg: DivisionAlgebra, lefts, rights) -> AlgebraElement:
+    """Unit u of D with theta(x) u = u rho(x), given theta(b_v) and rho(b_v).
 
-
-def _right_mul_operator(block: Block, b: MatrixOverD):
-    """Rational matrix of X -> X b on block coordinates."""
-    dq = block.dim_q
-    cols = [block.flatten(block.basis_matrix(q) * b) for q in range(dq)]
-    return [[cols[q][r] for q in range(dq)] for r in range(dq)]
-
-
-def _first_invertible_combination(candidates, build, invertible, seed: int,
-                                  coeff_bound: int = 5, cap: int = 1000):
-    """First invertible object among candidate coordinate vectors.
-
-    Tries the candidates themselves, then seeded random small-integer
-    combinations of them.  ``build`` turns a coordinate vector into the
-    object, ``invertible`` tests it.
+    theta and rho agree on the center, so rho^{-1} theta is an inner
+    automorphism of D (Skolem-Noether) and the solutions form u Z.  The
+    first kernel vector is taken: in a division algebra every nonzero
+    solution is a unit.
     """
-    for vec in candidates:
-        obj = build(vec)
-        if invertible(obj):
-            return obj
-    rng = random.Random(subseed(seed, 0x1C0))
-    width = len(candidates[0]) if candidates else 0
-    for _ in range(cap):
-        coeffs = [rng.randint(-coeff_bound, coeff_bound) for _ in candidates]
-        if not any(coeffs):
-            continue
-        vec = [sum(c * cand[i] for c, cand in zip(coeffs, candidates)) for i in range(width)]
-        obj = build(vec)
-        if invertible(obj):
-            return obj
-    return None
+    d = alg.dim
+    basis = alg.basis_elements()
+    system = []
+    for left, right in zip(lefts, rights):
+        lmat = left.left_regular_matrix()
+        # column j of the right-regular matrix of ``right`` holds b_j * right
+        rcols = [(b * right).coords for b in basis]
+        for r in range(d):
+            system.append([lmat[r][c] - rcols[c][r] for c in range(d)])
+    kernel = qlinalg.kernel_basis(system)
+    if not kernel:
+        raise ValidationError(f"no element of {alg.label} intertwines the two automorphisms")
+    u = AlgebraElement(alg, kernel[0])
+    if u.try_inv() is None:
+        raise ValidationError(f"intertwining element of {alg.label} is not a unit")
+    return u
 
 
-def inner_conjugator(h: MatrixAlgebraAutomorphism, seed: int = 0) -> MatrixOverD:
+def _central_normal_form(block: Block, p: MatrixOverD) -> MatrixOverD:
+    """The representative of P Z (Z the center of D) that decompose returns.
+
+    On flat coordinates, let j_1 < ... < j_c be the positions at which some
+    element of the Q-span P Z has its last nonzero entry.  The representative
+    is the element with coordinate 1 at j_1 and 0 at j_2, ..., j_c, read off
+    as the last row of the reduced echelon form of the reversed coordinate
+    vectors.  It is what a Q-kernel basis of h(B) X = X B puts first, and
+    the CLI and golden outputs are pinned to it.
+    """
+    alg = block.algebra
+    rows = [list(reversed(block.flatten(MatrixOverD.scalar(alg, block.n, z) * p)))
+            for z in center(alg).basis]
+    reduced, _ = qlinalg.rref(rows)
+    return block.unflatten(tuple(reversed(reduced[-1])))
+
+
+def inner_conjugator(h: MatrixAlgebraAutomorphism) -> MatrixOverD:
     """Invertible P with h(M) = P M P^{-1}, for h trivial on the center.
 
-    Solves the linear system h(B) P - P B = 0 over all coordinate basis
-    matrices B; any invertible solution conjugates correctly, and solutions
-    differ only by central factors.
+    Matrix units: with w the first nonzero column of h(E_11), the matrix Q
+    whose column i is h(E_i1) w satisfies h(E_ij) Q = Q E_ij.  Hence
+    Q^{-1} h(x I) Q = psi(x) I for an automorphism psi of D fixing the
+    center, and psi(x) u = u x for a unit u (Skolem-Noether), so P = Q u.
+    P is unique up to a central factor, fixed by _central_normal_form.
     """
     block = h.block
+    alg, n = block.algebra, block.n
     gamma = restrict_to_center(h)
     if not qlinalg.is_identity([list(r) for r in gamma]):
         raise ValidationError(
             f"automorphism of {block.label} is not trivial on the center; split off a lift first"
         )
-    dq = block.dim_q
-    system = []
-    for q in range(dq):
-        a = block.unflatten(tuple(h.linear_map[r][q] for r in range(dq)))
-        b = block.basis_matrix(q)
-        left = _left_mul_operator(block, a)
-        right = _right_mul_operator(block, b)
-        for r in range(dq):
-            system.append([left[r][c] - right[r][c] for c in range(dq)])
-    kernel = qlinalg.kernel_basis(system)
-    if not kernel:
+    images = [h.apply(MatrixOverD.unit_entry(alg, n, n, i, 0, alg.one())) for i in range(n)]
+    # w = h(E_11) e_j, so h(E_i1) w = h(E_i1 E_11) e_j is column j of h(E_i1)
+    j = next((j for j in range(n) if any(not e.is_zero() for e in images[0].column(j))), None)
+    if j is None:
         raise ValidationError(f"no conjugator exists for this map on {block.label}")
-    found = _first_invertible_combination(
-        kernel,
-        build=lambda vec: block.unflatten(tuple(vec)),
-        invertible=lambda m: try_inverse(m) is not None,
-        seed=seed,
-    )
-    if found is None:
-        raise ValidationError(f"conjugator solution space of {block.label} has no invertible element")
-    return found
+    q = MatrixOverD.from_columns(alg, [m.column(j) for m in images], n)
+    qinv = try_inverse(q)
+    if qinv is None:
+        raise ValidationError(f"images of the matrix units of {block.label} give a singular frame")
+    basis = alg.basis_elements()
+    psi = [(qinv * h.apply(MatrixOverD.scalar(alg, n, b)) * q).entries[0][0] for b in basis]
+    u = _intertwining_unit(alg, psi, basis)
+    return _central_normal_form(block, q * MatrixOverD.scalar(alg, n, u))
 
 
-def decompose(f: MatrixAlgebraAutomorphism, seed: int = 0):
+def decompose(f: MatrixAlgebraAutomorphism):
     """Split f into (P, sigma) with f(M) = P sigma(M) P^{-1}, sigma from the lifts.
 
     The center action pins down sigma; peeling its entrywise extension off
@@ -333,7 +330,7 @@ def decompose(f: MatrixAlgebraAutomorphism, seed: int = 0):
     gamma = restrict_to_center(f)
     sigma = block.lifts.for_center_restriction(gamma)
     h = f.compose(extend_entrywise(block, sigma.inverse()))
-    p = inner_conjugator(h, seed=seed)
+    p = inner_conjugator(h)
     rebuilt = from_pair(block, p, sigma)
     if rebuilt.linear_map != f.linear_map:
         raise ValidationError(
@@ -343,7 +340,7 @@ def decompose(f: MatrixAlgebraAutomorphism, seed: int = 0):
     return p, sigma
 
 
-def compose_autos(block: Block, pair1, pair2, seed: int = 0):
+def compose_autos(block: Block, pair1, pair2):
     """Compose two decomposed automorphisms into decomposed form.
 
     For (P1, s1) after (P2, s2) the composite semilinear part s1 s2 need not
@@ -358,29 +355,8 @@ def compose_autos(block: Block, pair1, pair2, seed: int = 0):
     s_comp = s1.compose(s2)
     gamma = center_restriction(s_comp, cen)
     sigma = block.lifts.for_center_restriction(gamma)
-    d = alg.dim
-    system = []
-    for v in range(d):
-        lhs = AlgebraElement(alg, s_comp.apply_coords(
-            tuple(_ONE if t == v else _ZERO for t in range(d))))
-        rhs = sigma.apply(alg.basis_element(v))
-        left = lhs.left_regular_matrix()
-        # right-regular matrix of rhs: column j holds b_j * rhs
-        rcols = [alg.mul_coords(tuple(_ONE if t == j else _ZERO for t in range(d)), rhs.coords)
-                 for j in range(d)]
-        for r in range(d):
-            system.append([left[r][c] - rcols[c][r] for c in range(d)])
-    kernel = qlinalg.kernel_basis(system)
-    if not kernel:
-        raise ValidationError(f"no unit relates the composed lift to the table entry on {alg.label}")
-    u = _first_invertible_combination(
-        kernel,
-        build=lambda vec: AlgebraElement(alg, tuple(vec)),
-        invertible=lambda e: e.try_inv() is not None,
-        seed=seed,
-    )
-    if u is None:
-        raise ValidationError(f"no invertible unit found relating lifts on {alg.label}")
+    basis = alg.basis_elements()
+    u = _intertwining_unit(alg, [s_comp.apply(b) for b in basis], [sigma.apply(b) for b in basis])
     p = p1 * apply_sigma(s1, p2) * MatrixOverD.scalar(alg, block.n, u)
     composite = from_pair(block, p1, s1).compose(from_pair(block, p2, s2))
     rebuilt = from_pair(block, p, sigma)

@@ -60,7 +60,7 @@ def _cmd_decompose(args) -> dict:
     for i, m in enumerate(g.maps):
         block = structure.product.blocks[i]
         fresh = MatrixAlgebraAutomorphism(block, m.linear_map)
-        p, sigma = decompose(fresh, seed=args.seed)
+        p, sigma = decompose(fresh)
         rebuilt = from_pair(block, p, sigma)
         factors.append({
             "factor": i + 1,
@@ -190,7 +190,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="split a group element into inner and lifted parts, factor by factor")
     p.add_argument("file", help="JSON document path or demo name")
     p.add_argument("--element", required=True, help="group element name")
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=_cmd_decompose)
 
     p = sub.add_parser("survey", parents=[common],

@@ -19,7 +19,7 @@ from .errors import SearchExhausted, ValidationError
 from .groups import (
     GaloisAction,
     ProductAlgebra,
-    acts_trivially_on_type,
+    fixing_element,
     search_free,
     stabilizer,
     validate_group,
@@ -253,20 +253,20 @@ def subvariety_survey(structure: EndoStructure, kvec, count: int = 1, seed: int 
         "bound": {"dim": g, "value": remond_bound(g)},
         "seed": seed,
     }
-    for elt in action.nontrivial():
-        if acts_trivially_on_type(action, elt, kvec):
-            stabs = _sample_stabilizers(structure, kvec, seed)
-            payload.update({
-                "status": "negative",
-                "certificate": {"witness": elt.name},
-                "statement": (
-                    f"element {elt.name!r} fixes every ideal of type {list(kvec)}, so no "
-                    f"subvariety in this class has field of definition {structure.full_label}"
-                ),
-                "possible_stabilizers": [list(s) for s in stabs],
-                "possible_fields": [structure.field_label_for(s) for s in stabs],
-            })
-            return payload
+    witness = fixing_element(action, kvec)
+    if witness is not None:
+        stabs = _sample_stabilizers(structure, kvec, seed)
+        payload.update({
+            "status": "negative",
+            "certificate": {"witness": witness.name},
+            "statement": (
+                f"element {witness.name!r} fixes every ideal of type {list(kvec)}, so no "
+                f"subvariety in this class has field of definition {structure.full_label}"
+            ),
+            "possible_stabilizers": [list(s) for s in stabs],
+            "possible_fields": [structure.field_label_for(s) for s in stabs],
+        })
+        return payload
     try:
         report = search_free(action, kvec, count, seed, max_tries=max_tries)
     except SearchExhausted as exc:

@@ -121,8 +121,7 @@ class GaloisAction:
         return self.by_name[name]
 
 
-def compose_elements(product: ProductAlgebra, g1: GroupElement, g2: GroupElement,
-                     seed: int = 0) -> GroupElement:
+def compose_elements(product: ProductAlgebra, g1: GroupElement, g2: GroupElement) -> GroupElement:
     """The element acting as g1 after g2 (no name; used for table building)."""
     r = product.r
     tau = tuple(g1.tau[g2.tau[i]] for i in range(r))
@@ -130,13 +129,12 @@ def compose_elements(product: ProductAlgebra, g1: GroupElement, g2: GroupElement
     for target in range(r):
         mid = g1.tau_inv[target]
         block = product.blocks[target]
-        pair = compose_autos(block, g1.maps[target].decomposition,
-                             g2.maps[mid].decomposition, seed=seed)
+        pair = compose_autos(block, g1.maps[target].decomposition, g2.maps[mid].decomposition)
         maps.append(from_pair(block, *pair))
     return GroupElement(f"({g1.name}*{g2.name})", tau, maps)
 
 
-def validate_group(product: ProductAlgebra, elements, seed: int = 0) -> GaloisAction:
+def validate_group(product: ProductAlgebra, elements) -> GaloisAction:
     """Check permutation compatibility, closure, identity and inverses.
 
     Every pairwise composition is computed in decomposed form and matched
@@ -173,7 +171,7 @@ def validate_group(product: ProductAlgebra, elements, seed: int = 0) -> GaloisAc
     table = {}
     for g1 in elements:
         for g2 in elements:
-            comp = compose_elements(product, g1, g2, seed=seed)
+            comp = compose_elements(product, g1, g2)
             match = signatures.get(comp.signature())
             if match is None:
                 raise ValidationError(
@@ -253,6 +251,14 @@ def acts_trivially_on_type(action: GaloisAction, g: GroupElement, kvec) -> bool:
     return True
 
 
+def fixing_element(action: GaloisAction, kvec) -> GroupElement | None:
+    """First nontrivial element fixing every ideal of the type, or None.
+
+    A returned element certifies that no ideal of the type is free.
+    """
+    return next((g for g in action.nontrivial() if acts_trivially_on_type(action, g, kvec)), None)
+
+
 @dataclass
 class FreeSearchReport:
     """Outcome of a successful free-ideal search."""
@@ -293,12 +299,12 @@ def search_free(action: GaloisAction, kvec, count: int, seed: int,
     kvec = action.product.check_type(kvec)
     if count < 1:
         raise ValidationError("count must be at least 1")
-    for g in action.nontrivial():
-        if acts_trivially_on_type(action, g, kvec):
-            raise ValidationError(
-                f"no free ideal of type {kvec} exists: element {g.name!r} fixes every ideal "
-                f"of this type"
-            )
+    witness = fixing_element(action, kvec)
+    if witness is not None:
+        raise ValidationError(
+            f"no free ideal of type {kvec} exists: element {witness.name!r} fixes every ideal "
+            f"of this type"
+        )
     r = action.product.r
     same_factor = []
     cross_factor = []
@@ -382,9 +388,9 @@ def exists_free(action: GaloisAction, kvec, seed: int = 0,
                 max_tries: int = 1000) -> FreeCertificate:
     """Certified decision with witness, or an honest 'inconclusive'."""
     kvec = action.product.check_type(kvec)
-    for g in action.nontrivial():
-        if acts_trivially_on_type(action, g, kvec):
-            return FreeCertificate(status="negative", witness_name=g.name)
+    witness = fixing_element(action, kvec)
+    if witness is not None:
+        return FreeCertificate(status="negative", witness_name=witness.name)
     try:
         report = search_free(action, kvec, 1, seed, max_tries=max_tries)
     except SearchExhausted as exc:

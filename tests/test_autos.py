@@ -5,6 +5,8 @@ from __future__ import annotations
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import skewgrass as sg
 from skewgrass.errors import ValidationError
@@ -104,14 +106,14 @@ def test_decompose_recovers_sigma_and_p(Qi):
     assert sg.center(Qi).contains(lam.coords)
 
 
-def test_decompose_is_seed_independent_in_sigma(H):
+def test_decompose_is_deterministic(H):
     block = sg.Block(H, 2)
     p0 = sg.random_invertible(H, 2, seed=23)
     f = sg.from_pair(block, p0, block.lifts.identity)
-    for seed in (0, 1, 99):
-        p, sigma = sg.decompose(sg.MatrixAlgebraAutomorphism(block, f.linear_map), seed=seed)
-        assert sigma.name == "id"
-        assert sg.from_pair(block, p, sigma).linear_map == f.linear_map
+    first, again = (sg.decompose(sg.MatrixAlgebraAutomorphism(block, f.linear_map)) for _ in range(2))
+    assert first[1].name == again[1].name == "id"
+    assert first[0].coords() == again[0].coords()
+    assert sg.from_pair(block, *first).linear_map == f.linear_map
 
 
 def test_decompose_without_needed_lift_fails(Qi):
@@ -121,6 +123,74 @@ def test_decompose_without_needed_lift_fails(Qi):
     f = sg.extend_entrywise(rich, rich.lifts.get("conj"))
     with pytest.raises(sg.IncompleteLiftTableError):
         sg.decompose(sg.MatrixAlgebraAutomorphism(poor, f.linear_map))
+
+
+def _zeta5_lifts(Z5):
+    # x -> x^2 on Q(zeta_5); column j is the image of x^j, with x^4 = -1-x-x^2-x^3
+    sq = [[1, 0, -1, 0], [0, 0, -1, 1], [0, 1, -1, 0], [0, 0, -1, 0]]
+    return sg.LiftTable.build(Z5, [sg.AlgebraAutomorphism(Z5, sq, name="x^2")])
+
+
+def _normal_form_cases():
+    """(label, block, P0, lift name): planted pairs with small integer P0."""
+    Qi = sg.field_algebra([1, 0, 1])
+    H = sg.quaternion_algebra(-1, -1)
+    B6 = sg.quaternion_algebra(-1, 3)
+    Z5 = sg.field_algebra([1, 1, 1, 1, 1])
+    return [
+        ("M_3(H)", sg.Block(H, 3), [[[1, 1, 0, 0], [0, 0, 1, 0], [2, 0, 0, 0]],
+                                    [[0, 0, 0, 1], [1, 0, 0, 0], [0, -1, 0, 0]],
+                                    [[1, 0, 0, 0], [0, 0, 1, 1], [3, 0, 0, 0]]], "id"),
+        ("M_2(Q(i))", sg.Block(Qi, 2, conj_lifts(Qi)), [[[1, 1], [2, 0]], [[0, 1], [-1, 0]]], "conj"),
+        ("M_2((-1,3|Q))", sg.Block(B6, 2), [[[1, 0, 1, 0], [0, 0, 0, 1]], [[2, 0, 0, 0], [0, 3, 0, 0]]], "id"),
+        ("M_2(Q(zeta_5))", sg.Block(Z5, 2, _zeta5_lifts(Z5)),
+         [[[1, 0, 0, 0], [0, 1, 0, 0]], [[0, 0, 1, 0], [1, 0, 0, 1]]], "x^2"),
+    ]
+
+
+# decompose's P for each case above, as flat coordinate strings: P is unique
+# only up to a central factor, and this pins the representative it returns
+NORMAL_FORMS = {
+    "M_3(H)": ("1/3 1/3 0 0 0 0 1/3 0 2/3 0 0 0 0 0 0 1/3 1/3 0 0 0 0 -1/3 0 0 "
+               "1/3 0 0 0 0 0 1/3 1/3 1 0 0 0"),
+    "M_2(Q(i))": "-1 -1 -2 0 0 -1 1 0",
+    "M_2((-1,3|Q))": "1/3 0 1/3 0 0 0 0 1/3 2/3 0 0 0 0 1 0 0",
+    "M_2(Q(zeta_5))": "1 1 1 0 0 1 1 1 -1 -1 0 0 1 0 0 0",
+}
+
+
+@pytest.mark.parametrize("label, block, rows, lift", _normal_form_cases(),
+                         ids=[case[0] for case in _normal_form_cases()])
+def test_decompose_pins_the_central_normal_form(label, block, rows, lift):
+    p0 = sg.MatrixOverD.from_rows(block.algebra, rows)
+    f = sg.from_pair(block, p0, block.lifts.get(lift))
+    p, sigma = sg.decompose(sg.MatrixAlgebraAutomorphism(block, f.linear_map))
+    assert sigma.name == lift
+    assert [str(c) for c in p.coords()] == NORMAL_FORMS[label].split()
+
+
+def _roundtrip_blocks():
+    Qi = sg.field_algebra([1, 0, 1])
+    algebras = [(sg.rational_algebra(), None), (Qi, conj_lifts(Qi)),
+                (sg.quaternion_algebra(-1, -1), None), (sg.quaternion_algebra(-1, 3), None)]
+    return [sg.Block(alg, n, lifts) for alg, lifts in algebras for n in (2, 3)]
+
+
+@pytest.mark.parametrize("block", _roundtrip_blocks(), ids=lambda b: b.label)
+@settings(max_examples=5, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_decompose_inverts_from_pair(block, data):
+    coords = st.lists(st.integers(-2, 2), min_size=block.dim_q, max_size=block.dim_q)
+    p0 = data.draw(coords.map(lambda c: block.unflatten(tuple(F(x) for x in c)))
+                   .filter(lambda m: sg.try_inverse(m) is not None), label="P0")
+    sigma0 = data.draw(st.sampled_from(list(block.lifts)), label="sigma")
+    f = sg.from_pair(block, p0, sigma0)
+    p, sigma = sg.decompose(sg.MatrixAlgebraAutomorphism(block, f.linear_map))
+    assert sigma.name == sigma0.name
+    ratio = sg.matrix_inv(p0) * p
+    lam = ratio.entries[0][0]
+    assert ratio == sg.MatrixOverD.scalar(block.algebra, block.n, lam)
+    assert sg.center(block.algebra).contains(lam.coords)
 
 
 def test_compose_autos_matches_map_composition(Qi):
