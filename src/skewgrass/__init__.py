@@ -21,10 +21,11 @@ from .algebra import (
 from .autos import (
     Block,
     MatrixAlgebraAutomorphism,
+    action_key,
     act_on_subspace,
+    acts_as_identity,
     compose_autos,
     decompose,
-    extend_entrywise,
     find_moved_subspace,
     from_pair,
     inner_conjugator,
@@ -65,7 +66,7 @@ from .groups import (
     stabilizer,
     validate_group,
 )
-from .ideals import IdealDescriptor, ProductIdeal, ideal_type, idempotent_generator, subspace_of_ideal
+from .ideals import ProductIdeal, ideal_type, idempotent_generator, subspace_of_ideal
 from .linalg import (
     MatrixOverD,
     RightSubspace,

@@ -1,14 +1,18 @@
 """Automorphisms of M_n(D) and their inner/semilinear decomposition.
 
-M_n(D) is a Q-vector space on the elements E_st * b_u (entry b_u at position
-(s, t)), ordered by (s, t, u); an automorphism is a rational matrix in that
-coordinate system.  Every automorphism factors as M -> P sigma(M) P^{-1}
-where sigma applies a lifted center automorphism entrywise and P is
-invertible over D.  sigma is pinned down by the action on the center.
-Once it is split off, P is built from matrix units: the images of E_i1
-give a frame Q that carries E_ij to itself, and the automorphism of D left
-over is inner by Skolem-Noether, conjugation by a unit u found from a
-d^2 x d rational system, so P = Q u up to a central factor.
+Every automorphism factors as M -> P sigma(M) P^{-1} where sigma applies a
+lifted center automorphism entrywise and P is invertible over D; past
+ingestion an automorphism is held as that pair (P, sigma) and nothing else.
+sigma is pinned down by the action on the center and P is unique up to a
+central factor, so action_key decides equality of two pairs exactly.
+
+A raw linear map handed over by a caller is a rational matrix on the
+coordinates E_st * b_u (entry b_u at position (s, t)), ordered by
+(s, t, u).  decompose splits it into its pair: P is built from matrix
+units, where the images of E_i1 give a frame Q that carries E_ij to itself,
+and the automorphism of D left over is inner by Skolem-Noether, conjugation
+by a unit u found from a d^2 x d rational system, so P = Q u up to a
+central factor.
 """
 
 from __future__ import annotations
@@ -110,32 +114,20 @@ class Block:
 class MatrixAlgebraAutomorphism:
     """An automorphism of M_n(D) held as its rational coordinate matrix."""
 
-    __slots__ = ("block", "linear_map", "decomposition")
+    __slots__ = ("block", "linear_map")
 
-    def __init__(self, block: Block, linear_map, decomposition=None):
+    def __init__(self, block: Block, linear_map):
         self.block = block
         self.linear_map = tuple(tuple(c for c in row) for row in linear_map)
         dq = block.dim_q
         if len(self.linear_map) != dq or any(len(r) != dq for r in self.linear_map):
             raise ValidationError(f"linear map must be {dq}x{dq} for {block.label}")
-        self.decomposition = decomposition
 
     def apply_flat(self, vec):
         return tuple(qlinalg.matvec([list(r) for r in self.linear_map], list(vec)))
 
     def apply(self, m: MatrixOverD) -> MatrixOverD:
         return self.block.unflatten(self.apply_flat(self.block.flatten(m)))
-
-    def is_identity(self) -> bool:
-        return qlinalg.is_identity([list(r) for r in self.linear_map])
-
-    def compose(self, other: "MatrixAlgebraAutomorphism") -> "MatrixAlgebraAutomorphism":
-        """self after other."""
-        if self.block != other.block:
-            raise ValidationError("cannot compose automorphisms of different blocks")
-        prod = qlinalg.matmul([list(r) for r in self.linear_map],
-                              [list(r) for r in other.linear_map])
-        return MatrixAlgebraAutomorphism(self.block, prod)
 
     def __eq__(self, other):
         if not isinstance(other, MatrixAlgebraAutomorphism):
@@ -177,13 +169,7 @@ def from_pair(block: Block, p: MatrixOverD, sigma: AlgebraAutomorphism,
         x = sigma.apply(block.algebra.basis_element(u))
         cols.append(block.flatten(_conjugation_image(p, pinv, s, t, x)))
     rows = tuple(tuple(cols[q][r] for q in range(dq)) for r in range(dq))
-    return MatrixAlgebraAutomorphism(block, rows, decomposition=(p, sigma))
-
-
-def extend_entrywise(block: Block, sigma: AlgebraAutomorphism) -> MatrixAlgebraAutomorphism:
-    """Apply an automorphism of D to every matrix entry."""
-    return from_pair(block, MatrixOverD.identity(block.algebra, block.n), sigma,
-                     pinv=MatrixOverD.identity(block.algebra, block.n))
+    return MatrixAlgebraAutomorphism(block, rows)
 
 
 def validate_matrix_algebra_automorphism(block: Block, linear_map) -> MatrixAlgebraAutomorphism:
@@ -270,116 +256,42 @@ def _intertwining_unit(alg: DivisionAlgebra, lefts, rights) -> AlgebraElement:
     return u
 
 
-def _central_normal_form(block: Block, p: MatrixOverD) -> MatrixOverD:
-    """The representative of P Z (Z the center of D) that decompose returns.
+def _central_normal_form(p: MatrixOverD):
+    """Flat coordinates of the representative of P Z (Z the center of D).
 
     On flat coordinates, let j_1 < ... < j_c be the positions at which some
     element of the Q-span P Z has its last nonzero entry.  The representative
     is the element with coordinate 1 at j_1 and 0 at j_2, ..., j_c, read off
     as the last row of the reduced echelon form of the reversed coordinate
-    vectors.  It is what a Q-kernel basis of h(B) X = X B puts first, and
-    the CLI and golden outputs are pinned to it.
+    vectors.  It depends on the span P Z alone, and it is what a Q-kernel
+    basis of h(B) X = X B puts first; the CLI and golden outputs are pinned
+    to it.
     """
-    alg = block.algebra
-    rows = [list(reversed(block.flatten(MatrixOverD.scalar(alg, block.n, z) * p)))
-            for z in center(alg).basis]
+    rows = [list(reversed(p.map_entries(lambda e: z * e).coords()))
+            for z in center(p.algebra).basis]
     reduced, _ = qlinalg.rref(rows)
-    return block.unflatten(tuple(reversed(reduced[-1])))
+    return tuple(reversed(reduced[-1]))
 
 
-def inner_conjugator(h: MatrixAlgebraAutomorphism) -> MatrixOverD:
-    """Invertible P with h(M) = P M P^{-1}, for h trivial on the center.
+def action_key(p: MatrixOverD, sigma: AlgebraAutomorphism):
+    """Hashable key of M -> P sigma(M) P^{-1}; equal keys mean equal actions.
 
-    Matrix units: with w the first nonzero column of h(E_11), the matrix Q
-    whose column i is h(E_i1) w satisfies h(E_ij) Q = Q E_ij.  Hence
-    Q^{-1} h(x I) Q = psi(x) I for an automorphism psi of D fixing the
-    center, and psi(x) u = u x for a unit u (Skolem-Noether), so P = Q u.
-    P is unique up to a central factor, fixed by _central_normal_form.
+    Exact for sigma taken from one lift table: distinct lifts restrict to
+    distinct center automorphisms, so equal actions share sigma, and P is
+    unique up to a central unit, which _central_normal_form removes.
     """
-    block = h.block
-    alg, n = block.algebra, block.n
-    gamma = restrict_to_center(h)
-    if not qlinalg.is_identity([list(r) for r in gamma]):
-        raise ValidationError(
-            f"automorphism of {block.label} is not trivial on the center; split off a lift first"
-        )
-    images = [h.apply(MatrixOverD.unit_entry(alg, n, n, i, 0, alg.one())) for i in range(n)]
-    # w = h(E_11) e_j, so h(E_i1) w = h(E_i1 E_11) e_j is column j of h(E_i1)
-    j = next((j for j in range(n) if any(not e.is_zero() for e in images[0].column(j))), None)
-    if j is None:
-        raise ValidationError(f"no conjugator exists for this map on {block.label}")
-    q = MatrixOverD.from_columns(alg, [m.column(j) for m in images], n)
-    qinv = try_inverse(q)
-    if qinv is None:
-        raise ValidationError(f"images of the matrix units of {block.label} give a singular frame")
-    basis = alg.basis_elements()
-    psi = [(qinv * h.apply(MatrixOverD.scalar(alg, n, b)) * q).entries[0][0] for b in basis]
-    u = _intertwining_unit(alg, psi, basis)
-    return _central_normal_form(block, q * MatrixOverD.scalar(alg, n, u))
+    return sigma.matrix, _central_normal_form(p)
 
 
-def decompose(f: MatrixAlgebraAutomorphism):
-    """Split f into (P, sigma) with f(M) = P sigma(M) P^{-1}, sigma from the lifts.
+def acts_as_identity(p: MatrixOverD, sigma: AlgebraAutomorphism) -> bool:
+    """Whether M -> P sigma(M) P^{-1} is the identity map of M_n(D).
 
-    The center action pins down sigma; peeling its entrywise extension off
-    leaves a center-trivial automorphism, which is inner.  The result is
-    verified exactly on every coordinate basis matrix before it is returned,
-    and is cached on f.
+    For sigma from a lift table that happens exactly when sigma is the
+    identity and P is a central homothety.
     """
-    block = f.block
-    gamma = restrict_to_center(f)
-    sigma = block.lifts.for_center_restriction(gamma)
-    h = f.compose(extend_entrywise(block, sigma.inverse()))
-    p = inner_conjugator(h)
-    rebuilt = from_pair(block, p, sigma)
-    if rebuilt.linear_map != f.linear_map:
-        raise ValidationError(
-            f"decomposition of an automorphism of {block.label} failed to reconstruct it"
-        )
-    f.decomposition = (p, sigma)
-    return p, sigma
-
-
-def compose_autos(block: Block, pair1, pair2):
-    """Compose two decomposed automorphisms into decomposed form.
-
-    For (P1, s1) after (P2, s2) the composite semilinear part s1 s2 need not
-    be a table entry; the entry sigma with the same center action differs
-    from it by an inner automorphism of D, witnessed by a unit u with
-    (s1 s2)(x) u = u sigma(x).  Then P = P1 s1(P2) (u I).
-    """
-    p1, s1 = pair1
-    p2, s2 = pair2
-    alg = block.algebra
-    cen = center(alg)
-    s_comp = s1.compose(s2)
-    gamma = center_restriction(s_comp, cen)
-    sigma = block.lifts.for_center_restriction(gamma)
-    basis = alg.basis_elements()
-    u = _intertwining_unit(alg, [s_comp.apply(b) for b in basis], [sigma.apply(b) for b in basis])
-    p = p1 * apply_sigma(s1, p2) * MatrixOverD.scalar(alg, block.n, u)
-    composite = from_pair(block, p1, s1).compose(from_pair(block, p2, s2))
-    rebuilt = from_pair(block, p, sigma)
-    if rebuilt.linear_map != composite.linear_map:
-        raise ValidationError(f"composition on {block.label} failed to reconstruct the product action")
-    return p, sigma
-
-
-def is_trivial_on_grassmannian(p: MatrixOverD, sigma: AlgebraAutomorphism, k: int) -> bool:
-    """Whether M -> P sigma(M) P^{-1} fixes every k-subspace of D^n.
-
-    Exact, not sampled: for 1 <= k <= n-1 the action is trivial exactly when
-    sigma is the identity and P is a central homothety; for k = 0 or k = n
-    the Grassmannian is a single point and everything acts trivially.
-    """
-    n = p.rows
-    if k < 0 or k > n:
-        raise ValidationError(f"subspace dimension {k} out of range for ambient dimension {n}")
-    if k == 0 or k == n:
-        return True
     if not sigma.is_identity():
         return False
-    alg = p.algebra
+    n = p.rows
     lam = p.entries[0][0]
     for i in range(n):
         for j in range(n):
@@ -389,11 +301,111 @@ def is_trivial_on_grassmannian(p: MatrixOverD, sigma: AlgebraAutomorphism, k: in
                     return False
             elif not e.is_zero():
                 return False
-    return all(lam * b == b * lam for b in alg.basis_elements())
+    return all(lam * b == b * lam for b in p.algebra.basis_elements())
+
+
+def _generators(alg: DivisionAlgebra, n: int):
+    """E_{i,i+1}, E_{i+1,i} and b_u I: they generate M_n(D) as a Q-algebra."""
+    one = alg.one()
+    units = [MatrixOverD.unit_entry(alg, n, n, s, t, one)
+             for i in range(n - 1) for s, t in ((i, i + 1), (i + 1, i))]
+    return units + [MatrixOverD.scalar(alg, n, b) for b in alg.basis_elements()]
+
+
+def inner_conjugator(f: MatrixAlgebraAutomorphism, sigma: AlgebraAutomorphism) -> MatrixOverD:
+    """Invertible P with f(M) = P sigma(M) P^{-1}, for sigma with f's center action.
+
+    With h = f o sigma^{-1}, which is trivial on the center, h is read on
+    n + d matrices only: h(E_i1) = f(E_i1) and h(b I) = f(sigma^{-1}(b) I).
+    Matrix units: with w the first nonzero column of h(E_11), the matrix Q
+    whose column i is h(E_i1) w satisfies h(E_ij) Q = Q E_ij.  Hence
+    Q^{-1} h(x I) Q = psi(x) I for an automorphism psi of D fixing the
+    center, and psi(x) u = u x for a unit u (Skolem-Noether), so P = Q u.
+    P is unique up to a central factor, fixed by _central_normal_form.
+    """
+    block = f.block
+    alg, n = block.algebra, block.n
+    sigma_inv = sigma.inverse()
+    basis = alg.basis_elements()
+    scalars = [f.apply_flat(block.flatten(MatrixOverD.scalar(alg, n, sigma_inv.apply(b))))
+               for b in basis]
+    for z in center(alg).basis:
+        image = tuple(sum(c * v[q] for c, v in zip(z.coords, scalars)) for q in range(block.dim_q))
+        if image != block.flatten(MatrixOverD.scalar(alg, n, z)):
+            raise ValidationError(
+                f"sigma does not match the action on the center of this automorphism of {block.label}"
+            )
+    images = [f.apply(MatrixOverD.unit_entry(alg, n, n, i, 0, alg.one())) for i in range(n)]
+    # w = h(E_11) e_j, so h(E_i1) w = h(E_i1 E_11) e_j is column j of h(E_i1)
+    j = next((j for j in range(n) if any(not e.is_zero() for e in images[0].column(j))), None)
+    if j is None:
+        raise ValidationError(f"no conjugator exists for this map on {block.label}")
+    q = MatrixOverD.from_columns(alg, [m.column(j) for m in images], n)
+    qinv = try_inverse(q)
+    if qinv is None:
+        raise ValidationError(f"images of the matrix units of {block.label} give a singular frame")
+    psi = [(qinv * block.unflatten(v) * q).entries[0][0] for v in scalars]
+    u = _intertwining_unit(alg, psi, basis)
+    return block.unflatten(_central_normal_form(q * MatrixOverD.scalar(alg, n, u)))
+
+
+def decompose(f: MatrixAlgebraAutomorphism):
+    """Split f into (P, sigma) with f(M) = P sigma(M) P^{-1}, sigma from the lifts.
+
+    The center action pins down sigma, and what is left is inner.  f comes
+    from outside and need not be multiplicative, so the result is verified
+    exactly on every coordinate basis matrix before it is returned.
+    """
+    block = f.block
+    sigma = block.lifts.for_center_restriction(restrict_to_center(f))
+    p = inner_conjugator(f, sigma)
+    if from_pair(block, p, sigma).linear_map != f.linear_map:
+        raise ValidationError(
+            f"decomposition of an automorphism of {block.label} failed to reconstruct it"
+        )
+    return p, sigma
+
+
+def compose_autos(block: Block, pair1, pair2, pinv1: MatrixOverD, pinv2: MatrixOverD):
+    """Compose (P1, s1) after (P2, s2) into one pair; pinv1, pinv2 invert P1, P2.
+
+    The composite semilinear part s1 s2 need not be a table entry; the entry
+    sigma with the same center action differs from it by an inner
+    automorphism of D, witnessed by a unit u with (s1 s2)(x) u = u sigma(x).
+    Then P = P1 s1(P2) (u I).  The result is checked exactly against the two
+    inputs on the generators of M_n(D): two algebra maps that agree there
+    are equal.
+    """
+    p1, s1 = pair1
+    p2, s2 = pair2
+    alg = block.algebra
+    s_comp = s1.compose(s2)
+    sigma = block.lifts.for_center_restriction(center_restriction(s_comp, center(alg)))
+    basis = alg.basis_elements()
+    u = _intertwining_unit(alg, [s_comp.apply(b) for b in basis], [sigma.apply(b) for b in basis])
+    p = p1 * apply_sigma(s1, p2) * MatrixOverD.scalar(alg, block.n, u)
+    for g in _generators(alg, block.n):
+        image = p1 * apply_sigma(s1, p2 * apply_sigma(s2, g) * pinv2) * pinv1
+        if image * p != p * apply_sigma(sigma, g):
+            raise ValidationError(f"composition on {block.label} failed to reconstruct the product action")
+    return p, sigma
+
+
+def is_trivial_on_grassmannian(p: MatrixOverD, sigma: AlgebraAutomorphism, k: int) -> bool:
+    """Whether M -> P sigma(M) P^{-1} fixes every k-subspace of D^n.
+
+    Exact, not sampled: for 1 <= k <= n-1 the action is trivial exactly when
+    it is the identity (acts_as_identity); for k = 0 or k = n the
+    Grassmannian is a single point and everything acts trivially.
+    """
+    n = p.rows
+    if k < 0 or k > n:
+        raise ValidationError(f"subspace dimension {k} out of range for ambient dimension {n}")
+    return k == 0 or k == n or acts_as_identity(p, sigma)
 
 
 def act_on_subspace(p: MatrixOverD, sigma: AlgebraAutomorphism, v: RightSubspace) -> RightSubspace:
-    """Image of a subspace under the decomposed automorphism (P, sigma)."""
+    """Image of a subspace under the automorphism (P, sigma)."""
     return apply_matrix(p, apply_sigma(sigma, v))
 
 

@@ -14,7 +14,7 @@ import os
 import sys
 
 from . import datasets, frontend, schema
-from .autos import MatrixAlgebraAutomorphism, decompose, from_pair
+from .autos import decompose, from_pair
 from .errors import SkewgrassError, ValidationError
 
 
@@ -57,17 +57,16 @@ def _cmd_decompose(args) -> dict:
     structure, label = _load_structure(args.file)
     g = structure.action.element(args.element)
     factors = []
-    for i, m in enumerate(g.maps):
+    for i, pair in enumerate(g.maps):
         block = structure.product.blocks[i]
-        fresh = MatrixAlgebraAutomorphism(block, m.linear_map)
-        p, sigma = decompose(fresh)
-        rebuilt = from_pair(block, p, sigma)
+        f = from_pair(block, *pair)
+        p, sigma = decompose(f)
         factors.append({
             "factor": i + 1,
             "sigma": sigma.name,
             "sigma_matrix": schema.ser_sigma(sigma),
             "P": schema.ser_matrix(p),
-            "reconstructed": rebuilt.linear_map == m.linear_map,
+            "reconstructed": from_pair(block, p, sigma) == f,
         })
     return {"command": "decompose", "dataset": label, "element": g.name, "factors": factors}
 

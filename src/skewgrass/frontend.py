@@ -170,13 +170,12 @@ class SubvarietyReport:
 
 def _check_ideal_shape(structure: EndoStructure, ideal: ProductIdeal):
     blocks = structure.product.blocks
-    if len(ideal.components) != len(blocks):
+    if len(ideal.subspaces) != len(blocks):
         raise ValidationError(
-            f"ideal has {len(ideal.components)} components; product has {len(blocks)} factors"
+            f"ideal has {len(ideal.subspaces)} components; product has {len(blocks)} factors"
         )
-    for i, comp in enumerate(ideal.components):
-        block = blocks[i]
-        if comp.subspace.algebra != block.algebra or comp.subspace.ambient_dim != block.n:
+    for i, (v, block) in enumerate(zip(ideal.subspaces, blocks)):
+        if v.algebra != block.algebra or v.ambient_dim != block.n:
             raise ValidationError(f"ideal component {i + 1} does not live in factor {i + 1}")
 
 

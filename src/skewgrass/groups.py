@@ -1,9 +1,11 @@
 """Finite groups acting on products of matrix algebras, and free ideals.
 
-A group element permutes the factors (tau) and carries one decomposed
-automorphism per target factor, read as a map from factor tau^{-1}(i) into
-factor i.  Factors related by tau must have literally identical
-descriptions, so those maps compose inside a single coordinate system.
+A group element permutes the factors (tau) and carries one pair (P, sigma)
+per target factor, the map M -> P sigma(M) P^{-1} from factor tau^{-1}(i)
+into factor i.  Factors related by tau must have literally identical
+descriptions, so those pairs compose inside a single factor.  Two elements
+act alike exactly when their permutations and the autos.action_key of
+every pair agree; the keys are computed once, when an element is built.
 
 An ideal is free when its stabilizer is trivial.  The search routine picks
 the component subspaces one factor at a time: each candidate must be moved
@@ -18,15 +20,15 @@ from dataclasses import dataclass, field
 
 from .autos import (
     Block,
-    MatrixAlgebraAutomorphism,
+    action_key,
     act_on_subspace,
+    acts_as_identity,
     compose_autos,
-    from_pair,
     is_trivial_on_grassmannian,
 )
 from .errors import SearchExhausted, ValidationError
 from .ideals import ProductIdeal
-from .linalg import random_subspace, subseed
+from .linalg import random_subspace, subseed, try_inverse
 
 
 class ProductAlgebra:
@@ -63,9 +65,9 @@ class ProductAlgebra:
 
 
 class GroupElement:
-    """A named group element: a factor permutation plus per-target maps."""
+    """A named group element: a factor permutation plus per-target (P, sigma) pairs."""
 
-    __slots__ = ("name", "tau", "tau_inv", "maps")
+    __slots__ = ("name", "tau", "tau_inv", "maps", "keys")
 
     def __init__(self, name: str, tau, maps):
         self.name = name
@@ -77,18 +79,19 @@ class GroupElement:
         for i, j in enumerate(self.tau):
             inv[j] = i
         self.tau_inv = tuple(inv)
-        self.maps = tuple(maps)
+        self.maps = tuple(tuple(m) for m in maps)
         if len(self.maps) != r:
             raise ValidationError(f"element {name!r}: expected {r} factor maps, got {len(self.maps)}")
-        for m in self.maps:
-            if not isinstance(m, MatrixAlgebraAutomorphism) or m.decomposition is None:
-                raise ValidationError(f"element {name!r}: factor maps must be decomposed automorphisms")
+        if any(len(m) != 2 for m in self.maps):
+            raise ValidationError(f"element {name!r}: factor maps must be (P, sigma) pairs")
+        self.keys = tuple(action_key(p, sigma) for p, sigma in self.maps)
 
     def signature(self):
-        return (self.tau, tuple(m.linear_map for m in self.maps))
+        return (self.tau, self.keys)
 
     def is_identity_action(self) -> bool:
-        return all(i == j for i, j in enumerate(self.tau)) and all(m.is_identity() for m in self.maps)
+        return (all(i == j for i, j in enumerate(self.tau))
+                and all(acts_as_identity(p, sigma) for p, sigma in self.maps))
 
     def __repr__(self):
         return f"GroupElement({self.name!r})"
@@ -121,24 +124,29 @@ class GaloisAction:
         return self.by_name[name]
 
 
-def compose_elements(product: ProductAlgebra, g1: GroupElement, g2: GroupElement) -> GroupElement:
-    """The element acting as g1 after g2 (no name; used for table building)."""
+def compose_elements(product: ProductAlgebra, g1: GroupElement, g2: GroupElement,
+                     pinvs1, pinvs2) -> GroupElement:
+    """The element acting as g1 after g2 (used for table building).
+
+    pinvs1 and pinvs2 hold the inverse of every P of g1 and of g2, factor by
+    factor; compose_autos checks each composite with them.
+    """
     r = product.r
     tau = tuple(g1.tau[g2.tau[i]] for i in range(r))
     maps = []
     for target in range(r):
         mid = g1.tau_inv[target]
-        block = product.blocks[target]
-        pair = compose_autos(block, g1.maps[target].decomposition, g2.maps[mid].decomposition)
-        maps.append(from_pair(block, *pair))
+        maps.append(compose_autos(product.blocks[target], g1.maps[target], g2.maps[mid],
+                                  pinvs1[target], pinvs2[mid]))
     return GroupElement(f"({g1.name}*{g2.name})", tau, maps)
 
 
 def validate_group(product: ProductAlgebra, elements) -> GaloisAction:
     """Check permutation compatibility, closure, identity and inverses.
 
-    Every pairwise composition is computed in decomposed form and matched
-    against the listed elements by exact action comparison; the resulting
+    Every pairwise composition is computed as pairs and matched against the
+    listed elements by their action keys, which is exact because every
+    sigma is checked to come from its factor's lift table; the resulting
     composition table is stored on the returned GaloisAction.
     """
     elements = tuple(elements)
@@ -146,6 +154,7 @@ def validate_group(product: ProductAlgebra, elements) -> GaloisAction:
     if len(set(names)) != len(names):
         raise ValidationError(f"duplicate element names: {sorted(names)}")
     r = product.r
+    inverses = {}
     for g in elements:
         if len(g.tau) != r:
             raise ValidationError(f"element {g.name!r}: tau has length {len(g.tau)}; expected {r}")
@@ -155,9 +164,17 @@ def validate_group(product: ProductAlgebra, elements) -> GaloisAction:
                     f"element {g.name!r} sends factor {i + 1} to factor {j + 1}, "
                     f"but their descriptions differ"
                 )
-        for i, m in enumerate(g.maps):
-            if m.block != product.blocks[i]:
+        pinvs = []
+        for i, (p, sigma) in enumerate(g.maps):
+            block = product.blocks[i]
+            if (p.algebra != block.algebra or (p.rows, p.cols) != (block.n, block.n)
+                    or sigma not in block.lifts.entries):
                 raise ValidationError(f"element {g.name!r}: map {i + 1} does not act on factor {i + 1}")
+            pinv = try_inverse(p)
+            if pinv is None:
+                raise ValidationError(f"element {g.name!r}: P of map {i + 1} is singular")
+            pinvs.append(pinv)
+        inverses[g.name] = pinvs
     signatures = {}
     for g in elements:
         sig = g.signature()
@@ -171,7 +188,7 @@ def validate_group(product: ProductAlgebra, elements) -> GaloisAction:
     table = {}
     for g1 in elements:
         for g2 in elements:
-            comp = compose_elements(product, g1, g2)
+            comp = compose_elements(product, g1, g2, inverses[g1.name], inverses[g2.name])
             match = signatures.get(comp.signature())
             if match is None:
                 raise ValidationError(
@@ -197,8 +214,7 @@ def act_on_ideal(g: GroupElement, ideal: ProductIdeal) -> ProductIdeal:
     out = []
     for i in range(len(subspaces)):
         src = g.tau_inv[i]
-        p, sigma = g.maps[i].decomposition
-        out.append(act_on_subspace(p, sigma, subspaces[src]))
+        out.append(act_on_subspace(*g.maps[i], subspaces[src]))
     return ProductIdeal.from_subspaces(out)
 
 
@@ -245,8 +261,7 @@ def acts_trivially_on_type(action: GaloisAction, g: GroupElement, kvec) -> bool:
             if kvec[i] != kvec[j]:
                 return False
         else:
-            p, sigma = g.maps[i].decomposition
-            if not is_trivial_on_grassmannian(p, sigma, kvec[i]):
+            if not is_trivial_on_grassmannian(*g.maps[i], kvec[i]):
                 return False
     return True
 
@@ -299,6 +314,8 @@ def search_free(action: GaloisAction, kvec, count: int, seed: int,
     kvec = action.product.check_type(kvec)
     if count < 1:
         raise ValidationError("count must be at least 1")
+    if max_tries < 1:
+        raise ValidationError("max_tries must be at least 1")
     witness = fixing_element(action, kvec)
     if witness is not None:
         raise ValidationError(
@@ -309,18 +326,14 @@ def search_free(action: GaloisAction, kvec, count: int, seed: int,
     same_factor = []
     cross_factor = []
     for i in range(r):
-        seen_maps = set()
+        seen_keys = set()
         movers = []
         for g in action.nontrivial():
-            if g.tau[i] != i:
+            if g.tau[i] != i or is_trivial_on_grassmannian(*g.maps[i], kvec[i]):
                 continue
-            m = g.maps[i]
-            p, sigma = m.decomposition
-            if is_trivial_on_grassmannian(p, sigma, kvec[i]):
-                continue
-            if m.linear_map not in seen_maps:
-                seen_maps.add(m.linear_map)
-                movers.append(m)
+            if g.keys[i] not in seen_keys:
+                seen_keys.add(g.keys[i])
+                movers.append(g.maps[i])
         same_factor.append(movers)
         crossings = []
         for g in action.nontrivial():
@@ -335,8 +348,7 @@ def search_free(action: GaloisAction, kvec, count: int, seed: int,
     while len(found) < count and tries_used < max_tries:
         chosen = []
         for i, block in enumerate(action.product.blocks):
-            forbidden = [act_on_subspace(*cmap.decomposition, chosen[j])
-                         for j, cmap in cross_factor[i]]
+            forbidden = [act_on_subspace(*pair, chosen[j]) for j, pair in cross_factor[i]]
             picked = None
             attempt = 0
             while tries_used < max_tries:
@@ -350,7 +362,7 @@ def search_free(action: GaloisAction, kvec, count: int, seed: int,
                                     subseed(seed, 0x5F, candidate, i, attempt), height)
                 tries_used += 1
                 attempt += 1
-                if any(act_on_subspace(*m.decomposition, v) == v for m in same_factor[i]):
+                if any(act_on_subspace(*pair, v) == v for pair in same_factor[i]):
                     continue
                 if any(v == f for f in forbidden):
                     continue

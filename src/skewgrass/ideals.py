@@ -12,61 +12,28 @@ from .errors import ValidationError
 from .linalg import MatrixOverD, RightSubspace, column_echelon, matrix_inv
 
 
-class IdealDescriptor:
-    """A right ideal of one factor M_{n_i}(D_i), held as its column space."""
-
-    __slots__ = ("block_index", "subspace")
-
-    def __init__(self, block_index: int, subspace: RightSubspace):
-        self.block_index = block_index
-        self.subspace = subspace
-
-    def __eq__(self, other):
-        if not isinstance(other, IdealDescriptor):
-            return NotImplemented
-        return self.block_index == other.block_index and self.subspace == other.subspace
-
-    def __hash__(self):
-        return hash((self.block_index, self.subspace))
-
-    def __repr__(self):
-        return f"IdealDescriptor(block {self.block_index}, dim {self.subspace.dim})"
-
-
 class ProductIdeal:
-    """A right ideal of a product of matrix algebras, one component per factor."""
+    """A right ideal of a product of matrix algebras, one column space per factor."""
 
-    __slots__ = ("components",)
+    __slots__ = ("subspaces",)
 
-    def __init__(self, components):
-        comps = tuple(components)
-        for i, comp in enumerate(comps):
-            if not isinstance(comp, IdealDescriptor):
-                raise ValidationError("product ideal components must be IdealDescriptors")
-            if comp.block_index != i:
-                raise ValidationError(
-                    f"component {i} carries block index {comp.block_index}; expected {i}"
-                )
-        self.components = comps
+    def __init__(self, subspaces):
+        self.subspaces = tuple(subspaces)
 
     @classmethod
     def from_subspaces(cls, subspaces) -> "ProductIdeal":
-        return cls([IdealDescriptor(i, v) for i, v in enumerate(subspaces)])
-
-    @property
-    def subspaces(self):
-        return tuple(c.subspace for c in self.components)
+        return cls(subspaces)
 
     def __eq__(self, other):
         if not isinstance(other, ProductIdeal):
             return NotImplemented
-        return self.components == other.components
+        return self.subspaces == other.subspaces
 
     def __hash__(self):
-        return hash(self.components)
+        return hash(self.subspaces)
 
     def __repr__(self):
-        dims = ", ".join(str(c.subspace.dim) for c in self.components)
+        dims = ", ".join(str(v.dim) for v in self.subspaces)
         return f"ProductIdeal(type ({dims}))"
 
 
@@ -117,4 +84,4 @@ def idempotent_generator(v: RightSubspace) -> MatrixOverD:
 
 def ideal_type(ideal: ProductIdeal) -> tuple[int, ...]:
     """Tuple of component dimensions, the ideal's isomorphism type."""
-    return tuple(c.subspace.dim for c in ideal.components)
+    return tuple(v.dim for v in ideal.subspaces)

@@ -10,11 +10,11 @@ value.
 from __future__ import annotations
 
 from .algebra import AlgebraAutomorphism, AlgebraElement, DivisionAlgebra, LiftTable, build_algebra
-from .autos import Block, from_pair
+from .autos import Block
 from .errors import ValidationError
 from .groups import GroupElement, ProductAlgebra
 from .ideals import ProductIdeal
-from .linalg import MatrixOverD, RightSubspace, column_echelon
+from .linalg import MatrixOverD, RightSubspace, column_echelon, try_inverse
 from .rationals import rat_str, to_fraction
 
 
@@ -157,10 +157,9 @@ def parse_group_element(product: ProductAlgebra, data, idx: int) -> GroupElement
                 raise ValidationError(
                     "sigma matrix is not one of the factor's lifts", f"{here}.sigma"
                 )
-        try:
-            maps.append(from_pair(block, p, sigma))
-        except ValidationError as exc:
-            raise ValidationError(str(exc), f"{here}.P") from None
+        if try_inverse(p) is None:
+            raise ValidationError(f"P is singular over {block.algebra.label}", f"{here}.P")
+        maps.append((p, sigma))
     try:
         return GroupElement(name, tau, maps)
     except ValidationError as exc:
@@ -260,4 +259,4 @@ def ser_subspace(v: RightSubspace):
 
 
 def ser_ideal(ideal: ProductIdeal):
-    return [ser_subspace(c.subspace) for c in ideal.components]
+    return [ser_subspace(v) for v in ideal.subspaces]

@@ -3,8 +3,14 @@ from __future__ import annotations
 import sys
 
 import pytest
+from hypothesis import settings
 
 import skewgrass as sg
+
+# Seeded runs stay reproducible bit for bit: every property draws the same
+# examples on every run, and nothing is written to a local example database.
+settings.register_profile("skewgrass", derandomize=True, database=None, deadline=None)
+settings.load_profile("skewgrass")
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -190,7 +190,7 @@ def test_criterion_4_free_search():
         Q = sg.rational_algebra()
         block = sg.Block(Q, 2)
         product = sg.ProductAlgebra([block, block])
-        eye = sg.from_pair(block, sg.MatrixOverD.identity(Q, 2), block.lifts.identity)
+        eye = (sg.MatrixOverD.identity(Q, 2), block.lifts.identity)
         action = sg.validate_group(product, [
             sg.GroupElement("id", (0, 1), [eye, eye]),
             sg.GroupElement("swap", (1, 0), [eye, eye]),

@@ -205,7 +205,7 @@ def test_lift_lookup_by_center_restriction(Qi):
         lifts.for_center_restriction(((F(1), F(1)), (F(0), F(1))))
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30)
 @given(small_coords, small_coords, small_coords)
 def test_quaternion_associativity_on_elements(a, b, c):
     H = sg.quaternion_algebra(-1, -1)
@@ -213,7 +213,7 @@ def test_quaternion_associativity_on_elements(a, b, c):
     assert (x * y) * z == x * (y * z)
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30)
 @given(small_coords, small_coords)
 def test_quaternion_inverse_antihomomorphism(a, b):
     H = sg.quaternion_algebra(-1, -1)

@@ -171,6 +171,18 @@ def test_inconclusive_exits_3(capsys):
     assert json.loads(out)["status"] == "inconclusive"
 
 
+def test_survey_bad_max_tries_exits_2(capsys):
+    code, out = run(capsys, "survey", "remark-A2", "--type", "1,1", "--max-tries", "-5")
+    assert code == 2
+    assert "max_tries must be at least 1" in json.loads(out)["error"]
+
+
+def test_demo_type_bad_max_tries_exits_2(capsys):
+    code, out = run(capsys, "demo", "remark-A2", "--type", "1,1", "--max-tries", "0")
+    assert code == 2
+    assert "max_tries must be at least 1" in json.loads(out)["error"]
+
+
 # -- determinism and rendering --
 
 def test_byte_identical_reruns(capsys):

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 
 import skewgrass as sg
+from skewgrass import autos
 from skewgrass.errors import SearchExhausted, ValidationError
 
 
@@ -15,12 +18,12 @@ def two_block_action(Qi, Q):
     b2 = sg.Block(Q, 2)
     product = sg.ProductAlgebra([b1, b2])
     ident = [
-        sg.from_pair(b1, sg.MatrixOverD.identity(Qi, 2), b1.lifts.identity),
-        sg.from_pair(b2, sg.MatrixOverD.identity(Q, 2), b2.lifts.identity),
+        (sg.MatrixOverD.identity(Qi, 2), b1.lifts.identity),
+        (sg.MatrixOverD.identity(Q, 2), b2.lifts.identity),
     ]
     conj_maps = [
-        sg.from_pair(b1, sg.MatrixOverD.identity(Qi, 2), b1.lifts.get("conj")),
-        sg.from_pair(b2, sg.MatrixOverD.identity(Q, 2), b2.lifts.identity),
+        (sg.MatrixOverD.identity(Qi, 2), b1.lifts.get("conj")),
+        (sg.MatrixOverD.identity(Q, 2), b2.lifts.identity),
     ]
     elements = [
         sg.GroupElement("id", (0, 1), ident),
@@ -33,7 +36,7 @@ def swap_action(Q):
     """Two identical factors exchanged by an involution with identity maps."""
     block = sg.Block(Q, 2)
     product = sg.ProductAlgebra([block, block])
-    eye = sg.from_pair(block, sg.MatrixOverD.identity(Q, 2), block.lifts.identity)
+    eye = (sg.MatrixOverD.identity(Q, 2), block.lifts.identity)
     elements = [
         sg.GroupElement("id", (0, 1), [eye, eye]),
         sg.GroupElement("swap", (1, 0), [eye, eye]),
@@ -53,10 +56,10 @@ def test_validate_group_builds_table(Qi, Q):
 def test_closure_failure_is_reported(Q):
     block = sg.Block(Q, 2)
     product = sg.ProductAlgebra([block])
-    eye = sg.from_pair(block, sg.MatrixOverD.identity(Q, 2), block.lifts.identity)
+    eye = (sg.MatrixOverD.identity(Q, 2), block.lifts.identity)
     # inner by diag(1, 2) squares to inner by diag(1, 4), which is missing
     diag = sg.MatrixOverD.from_rows(Q, [[Q.one(), Q.zero()], [Q.zero(), Q.one().scale(2)]])
-    g = sg.GroupElement("g", (0,), [sg.from_pair(block, diag, block.lifts.identity)])
+    g = sg.GroupElement("g", (0,), [(diag, block.lifts.identity)])
     with pytest.raises(ValidationError, match="not closed"):
         sg.validate_group(product, [sg.GroupElement("id", (0,), [eye]), g])
 
@@ -67,7 +70,7 @@ def test_central_conjugation_counts_as_identity(Q):
     block = sg.Block(Q, 2)
     product = sg.ProductAlgebra([block])
     two = sg.MatrixOverD.scalar(Q, 2, Q.one().scale(2))
-    g = sg.GroupElement("g", (0,), [sg.from_pair(block, two, block.lifts.identity)])
+    g = sg.GroupElement("g", (0,), [(two, block.lifts.identity)])
     action = sg.validate_group(product, [g])
     assert action.order == 1 and action.identity_name == "g"
 
@@ -76,7 +79,7 @@ def test_missing_identity_rejected(Q):
     block = sg.Block(Q, 2)
     product = sg.ProductAlgebra([block])
     diag = sg.MatrixOverD.from_rows(Q, [[Q.one(), Q.zero()], [Q.zero(), Q.one().scale(2)]])
-    g = sg.GroupElement("g", (0,), [sg.from_pair(block, diag, block.lifts.identity)])
+    g = sg.GroupElement("g", (0,), [(diag, block.lifts.identity)])
     with pytest.raises(ValidationError, match="identity"):
         sg.validate_group(product, [g])
 
@@ -84,9 +87,9 @@ def test_missing_identity_rejected(Q):
 def test_duplicate_actions_rejected(Q):
     block = sg.Block(Q, 2)
     product = sg.ProductAlgebra([block])
-    eye = sg.from_pair(block, sg.MatrixOverD.identity(Q, 2), block.lifts.identity)
+    eye = (sg.MatrixOverD.identity(Q, 2), block.lifts.identity)
     # scalar conjugation is the identity automorphism: same action, new name
-    two = sg.from_pair(block, sg.MatrixOverD.scalar(Q, 2, Q.one().scale(2)), block.lifts.identity)
+    two = (sg.MatrixOverD.scalar(Q, 2, Q.one().scale(2)), block.lifts.identity)
     with pytest.raises(ValidationError, match="identical action"):
         sg.validate_group(product, [
             sg.GroupElement("id", (0,), [eye]),
@@ -94,12 +97,53 @@ def test_duplicate_actions_rejected(Q):
         ])
 
 
+def test_validate_group_rejects_foreign_lift_and_singular_p(Qi):
+    # action keys are exact only for sigma from the factor's own lift table
+    block = sg.Block(Qi, 2)
+    product = sg.ProductAlgebra([block])
+    eye = sg.MatrixOverD.identity(Qi, 2)
+    ident = sg.GroupElement("id", (0,), [(eye, block.lifts.identity)])
+    conj = sg.AlgebraAutomorphism(Qi, [[1, 0], [0, -1]], name="conj")
+    with pytest.raises(ValidationError, match="does not act on factor 1"):
+        sg.validate_group(product, [ident, sg.GroupElement("c", (0,), [(eye, conj)])])
+    zero = sg.MatrixOverD.zeros(Qi, 2, 2)
+    with pytest.raises(ValidationError, match="singular"):
+        sg.validate_group(product, [ident, sg.GroupElement("z", (0,), [(zero, block.lifts.identity)])])
+
+
+def quaternion_units_action(H):
+    """{1, i, j, k} acting on M_2(H) by conjugation with scalar matrices."""
+    block = sg.Block(H, 2)
+    product = sg.ProductAlgebra([block])
+    elements = [sg.GroupElement(name, (0,), [(sg.MatrixOverD.scalar(H, 2, H.basis_element(u)),
+                                              block.lifts.identity)])
+                for u, name in enumerate(("id", "i", "j", "k"))]
+    return sg.validate_group(product, elements)
+
+
+def test_validate_group_builds_no_dense_map(H, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a dense coordinate map was built")
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("skewgrass") and getattr(module, "from_pair", None) is autos.from_pair:
+            monkeypatch.setattr(module, "from_pair", refuse)
+    monkeypatch.setattr(autos.MatrixAlgebraAutomorphism, "__init__", refuse)
+    for demo in sg.DEMO_NAMES:
+        assert sg.load_endo_structure(demo).action.order == 2
+    action = quaternion_units_action(H)
+    # i j = k and i^2 = -1, which is central, so i o i is the identity action
+    assert action.composition[("i", "j")] == "k" and action.composition[("j", "i")] == "k"
+    assert action.composition[("i", "i")] == "id"
+    assert action.inverses == {"id": "id", "i": "i", "j": "j", "k": "k"}
+
+
 def test_tau_needs_matching_factor_descriptions(Qi, Q):
     b1 = sg.Block(Qi, 2, sg.LiftTable.build(Qi, []))
     b2 = sg.Block(Q, 2)
     product = sg.ProductAlgebra([b1, b2])
-    e1 = sg.from_pair(b1, sg.MatrixOverD.identity(Qi, 2), b1.lifts.identity)
-    e2 = sg.from_pair(b2, sg.MatrixOverD.identity(Q, 2), b2.lifts.identity)
+    e1 = (sg.MatrixOverD.identity(Qi, 2), b1.lifts.identity)
+    e2 = (sg.MatrixOverD.identity(Q, 2), b2.lifts.identity)
     with pytest.raises(ValidationError, match="descriptions differ"):
         sg.validate_group(product, [
             sg.GroupElement("id", (0, 1), [e1, e2]),

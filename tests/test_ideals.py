@@ -53,8 +53,3 @@ def test_product_ideal_type_and_equality(Qi, Q):
     assert ideal != other
     assert sg.ideal_type(other) == (1, 0)
 
-
-def test_component_index_mismatch_rejected(Q):
-    v = sg.random_subspace(Q, 2, 1, seed=43)
-    with pytest.raises(ValidationError):
-        sg.ProductIdeal([sg.IdealDescriptor(1, v)])

@@ -171,7 +171,7 @@ def test_oracle_agreement_spot_checks(Q):
         assert ours == theirs
 
 
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=20)
 @given(st.integers(min_value=0, max_value=2 ** 31))
 def test_echelon_idempotent_on_its_own_basis(seed):
     H = sg.quaternion_algebra(-1, -1)
