@@ -499,10 +499,12 @@ class AlgebraAutomorphism:
     """A Q-linear ring automorphism of a DivisionAlgebra.
 
     Stored as a d x d rational matrix whose column j holds the coordinates
-    of the image of basis element b_j.
+    of the image of basis element b_j.  The nonzero entries of each row and
+    whether the matrix is the identity are read off once, at construction;
+    the identity then maps every element to itself.
     """
 
-    __slots__ = ("algebra", "matrix", "name")
+    __slots__ = ("algebra", "matrix", "name", "_rows", "_identity")
 
     def __init__(self, algebra: DivisionAlgebra, matrix, name: str | None = None):
         self.algebra = algebra
@@ -511,15 +513,21 @@ class AlgebraAutomorphism:
         if len(self.matrix) != d or any(len(r) != d for r in self.matrix):
             raise ValidationError(f"automorphism matrix must be {d}x{d}")
         self.name = name
+        self._rows = tuple(tuple((k, c) for k, c in enumerate(row) if c) for row in self.matrix)
+        self._identity = all(row == ((i, _ONE),) for i, row in enumerate(self._rows))
 
     def apply_coords(self, coords):
-        return tuple(qlinalg.matvec([list(r) for r in self.matrix], list(coords)))
+        if self._identity:
+            return tuple(coords)
+        return tuple(sum((c * coords[k] for k, c in row if coords[k]), _ZERO) for row in self._rows)
 
     def apply(self, elem: AlgebraElement) -> AlgebraElement:
+        if self._identity:
+            return elem
         return AlgebraElement(self.algebra, self.apply_coords(elem.coords))
 
     def is_identity(self) -> bool:
-        return qlinalg.is_identity([list(r) for r in self.matrix])
+        return self._identity
 
     def compose(self, other: "AlgebraAutomorphism") -> "AlgebraAutomorphism":
         """self after other (apply ``other`` first)."""
@@ -612,7 +620,9 @@ class LiftTable:
 
     The identity is always present (inserted if missing) and entries must
     restrict to pairwise distinct automorphisms of the center, so matching
-    a center automorphism to its lift is unambiguous.
+    a center automorphism to its lift is unambiguous.  ``composites`` is
+    filled by autos.compose_autos with the composite of each pair of
+    entries, so each is worked out once per table.
     """
 
     def __init__(self, algebra: DivisionAlgebra, entries, restrictions):
@@ -620,6 +630,7 @@ class LiftTable:
         self.entries = tuple(entries)
         self.restrictions = tuple(restrictions)
         self.by_name = {e.name: e for e in self.entries}
+        self.composites = {}
 
     @classmethod
     def build(cls, algebra: DivisionAlgebra, raw_entries=()) -> "LiftTable":

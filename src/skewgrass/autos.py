@@ -366,27 +366,55 @@ def decompose(f: MatrixAlgebraAutomorphism):
     return p, sigma
 
 
+def _composite_lift(block: Block, s1: AlgebraAutomorphism, s2: AlgebraAutomorphism):
+    """(s1 s2, sigma, u) for two lifts of the block's table, computed once per table.
+
+    sigma is the table entry with the center action of s1 s2, and u a unit
+    with (s1 s2)(x) u = u sigma(x).  They depend on the two lifts alone, so
+    the table keeps them, keyed by the positions of s1 and s2 in it.
+    """
+    lifts = block.lifts
+    try:
+        key = (lifts.entries.index(s1), lifts.entries.index(s2))
+    except ValueError:
+        raise ValidationError(f"composition on {block.label} needs two lifts from its table") from None
+    found = lifts.composites.get(key)
+    if found is None:
+        alg = block.algebra
+        s_comp = s1.compose(s2)
+        sigma = lifts.for_center_restriction(center_restriction(s_comp, center(alg)))
+        basis = alg.basis_elements()
+        u = _intertwining_unit(alg, [s_comp.apply(b) for b in basis], [sigma.apply(b) for b in basis])
+        found = lifts.composites[key] = (s_comp, sigma, u)
+    return found
+
+
 def compose_autos(block: Block, pair1, pair2, pinv1: MatrixOverD, pinv2: MatrixOverD):
     """Compose (P1, s1) after (P2, s2) into one pair; pinv1, pinv2 invert P1, P2.
 
-    The composite semilinear part s1 s2 need not be a table entry; the entry
-    sigma with the same center action differs from it by an inner
-    automorphism of D, witnessed by a unit u with (s1 s2)(x) u = u sigma(x).
-    Then P = P1 s1(P2) (u I).  The result is checked exactly against the two
-    inputs on the generators of M_n(D): two algebra maps that agree there
-    are equal.
+    s1 and s2 are lifts from the block's table.  The composite semilinear
+    part s1 s2 need not be a table entry; the entry sigma with the same
+    center action differs from it by an inner automorphism of D, witnessed
+    by a unit u with (s1 s2)(x) u = u sigma(x).  Then P = P1 s1(P2) (u I).
+
+    The result is checked exactly against the two inputs on every generator
+    g of M_n(D) (E_{i,i+1}, E_{i+1,i} and b_u I; two algebra maps that
+    agree there are equal): P1 s1(P2 s2(g) P2^{-1}) P1^{-1} P == P sigma(g).
+    The left side is regrouped as front (s1 s2)(g) rest, with
+    front = P1 s1(P2) and rest = s1(P2^{-1}) P1^{-1} P computed once per
+    call.  That is the same matrix: s1 is a table lift, validated
+    multiplicative when the table was built, so applied entrywise it is
+    multiplicative on matrices, s1(A B) = s1(A) s1(B), and s1(s2(g)) is
+    (s1 s2)(g).
     """
     p1, s1 = pair1
     p2, s2 = pair2
-    alg = block.algebra
-    s_comp = s1.compose(s2)
-    sigma = block.lifts.for_center_restriction(center_restriction(s_comp, center(alg)))
-    basis = alg.basis_elements()
-    u = _intertwining_unit(alg, [s_comp.apply(b) for b in basis], [sigma.apply(b) for b in basis])
-    p = p1 * apply_sigma(s1, p2) * MatrixOverD.scalar(alg, block.n, u)
-    for g in _generators(alg, block.n):
-        image = p1 * apply_sigma(s1, p2 * apply_sigma(s2, g) * pinv2) * pinv1
-        if image * p != p * apply_sigma(sigma, g):
+    s_comp, sigma, u = _composite_lift(block, s1, s2)
+    front = p1 * apply_sigma(s1, p2)
+    p = front * MatrixOverD.scalar(block.algebra, block.n, u)
+    rest = apply_sigma(s1, pinv2) * pinv1 * p
+    for g in _generators(block.algebra, block.n):
+        if front * apply_sigma(s_comp, g) * rest != p * apply_sigma(sigma, g):
             raise ValidationError(f"composition on {block.label} failed to reconstruct the product action")
     return p, sigma
 

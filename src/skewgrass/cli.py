@@ -58,15 +58,14 @@ def _cmd_decompose(args) -> dict:
     g = structure.action.element(args.element)
     factors = []
     for i, pair in enumerate(g.maps):
-        block = structure.product.blocks[i]
-        f = from_pair(block, *pair)
-        p, sigma = decompose(f)
+        # decompose raises unless from_pair(P, sigma) rebuilds f exactly
+        p, sigma = decompose(from_pair(structure.product.blocks[i], *pair))
         factors.append({
             "factor": i + 1,
             "sigma": sigma.name,
             "sigma_matrix": schema.ser_sigma(sigma),
             "P": schema.ser_matrix(p),
-            "reconstructed": from_pair(block, p, sigma) == f,
+            "reconstructed": True,
         })
     return {"command": "decompose", "dataset": label, "element": g.name, "factors": factors}
 

@@ -19,6 +19,7 @@ from .errors import SearchExhausted, ValidationError
 from .groups import (
     GaloisAction,
     ProductAlgebra,
+    check_budget,
     fixing_element,
     search_free,
     stabilizer,
@@ -243,6 +244,7 @@ def subvariety_survey(structure: EndoStructure, kvec, count: int = 1, seed: int 
     out (which is never reported as nonexistence).
     """
     kvec = structure.product.check_type(kvec)
+    check_budget(count, max_tries)
     action = structure.action
     g = structure.g_total
     payload = {

@@ -299,6 +299,14 @@ class FreeCertificate:
     detail: str | None = None
 
 
+def check_budget(count: int, max_tries: int):
+    """Reject a search request for fewer than one ideal or one sample."""
+    if count < 1:
+        raise ValidationError("count must be at least 1")
+    if max_tries < 1:
+        raise ValidationError("max_tries must be at least 1")
+
+
 def search_free(action: GaloisAction, kvec, count: int, seed: int,
                 max_tries: int = 1000) -> FreeSearchReport:
     """Find pairwise distinct free ideals of the given type.
@@ -312,10 +320,7 @@ def search_free(action: GaloisAction, kvec, count: int, seed: int,
     by a direct stabilizer test before being emitted.
     """
     kvec = action.product.check_type(kvec)
-    if count < 1:
-        raise ValidationError("count must be at least 1")
-    if max_tries < 1:
-        raise ValidationError("max_tries must be at least 1")
+    check_budget(count, max_tries)
     witness = fixing_element(action, kvec)
     if witness is not None:
         raise ValidationError(
@@ -400,6 +405,7 @@ def exists_free(action: GaloisAction, kvec, seed: int = 0,
                 max_tries: int = 1000) -> FreeCertificate:
     """Certified decision with witness, or an honest 'inconclusive'."""
     kvec = action.product.check_type(kvec)
+    check_budget(1, max_tries)
     witness = fixing_element(action, kvec)
     if witness is not None:
         return FreeCertificate(status="negative", witness_name=witness.name)

@@ -19,6 +19,7 @@ from .algebra import AlgebraAutomorphism, AlgebraElement, DivisionAlgebra
 from .errors import SearchExhausted, SingularMatrixError, ValidationError
 
 _ZERO = Fraction(0)
+_UNKNOWN = object()  # try_inverse has not run on this matrix yet
 
 
 def subseed(*parts: int) -> int:
@@ -31,12 +32,20 @@ def subseed(*parts: int) -> int:
 
 
 class MatrixOverD:
-    """Immutable rows-of-entries matrix with AlgebraElement entries."""
+    """Immutable rows-of-entries matrix with AlgebraElement entries.
 
-    __slots__ = ("algebra", "rows", "cols", "entries")
+    Two things are worked out at most once per matrix and kept on it: the
+    nonzero coordinates of every entry, on the first product that reads
+    them, and the result of try_inverse.  Neither takes part in equality or
+    hashing.
+    """
+
+    __slots__ = ("algebra", "rows", "cols", "entries", "_nonzero", "_inverse")
 
     def __init__(self, algebra: DivisionAlgebra, entries):
         self.algebra = algebra
+        self._nonzero = None
+        self._inverse = _UNKNOWN
         self.entries = tuple(tuple(e for e in row) for row in entries)
         self.rows = len(self.entries)
         self.cols = len(self.entries[0]) if self.rows else 0
@@ -91,23 +100,37 @@ class MatrixOverD:
             return NotImplemented
         if self.algebra != other.algebra or self.cols != other.rows:
             raise ValidationError("matrix shapes do not match")
-        zero = self.algebra.zero()
+        # Products of nonzero coordinates go through the structure constants
+        # straight into one coordinate list per output entry.
+        alg = self.algebra
+        d = alg.dim
+        table = alg._sparse
+        right = other._nonzero_entries()
         out = []
-        for i in range(self.rows):
-            row = []
+        for left in self._nonzero_entries():
+            out_row = []
             for j in range(other.cols):
-                acc = zero
-                for k in range(self.cols):
-                    a = self.entries[i][k]
-                    if a.is_zero():
+                acc = [_ZERO] * d
+                for a, right_row in zip(left, right):
+                    b = right_row[j]
+                    if not a or not b:
                         continue
-                    b = other.entries[k][j]
-                    if b.is_zero():
-                        continue
-                    acc = acc + a * b
-                row.append(acc)
-            out.append(row)
-        return MatrixOverD(self.algebra, out)
+                    for u, x in a:
+                        products = table[u]
+                        for v, y in b:
+                            c = x * y
+                            for w, s in products[v]:
+                                acc[w] += c * s
+                out_row.append(AlgebraElement(alg, acc))
+            out.append(out_row)
+        return MatrixOverD(alg, out)
+
+    def _nonzero_entries(self):
+        """Per entry, the (index, coordinate) pairs with nonzero coordinate."""
+        if self._nonzero is None:
+            self._nonzero = tuple(tuple(tuple((u, c) for u, c in enumerate(e.coords) if c) for e in row)
+                                  for row in self.entries)
+        return self._nonzero
 
     def __add__(self, other):
         if not isinstance(other, MatrixOverD):
@@ -332,7 +355,17 @@ def subspace_intersect(u: RightSubspace, w: RightSubspace) -> RightSubspace:
 
 
 def try_inverse(matrix: MatrixOverD) -> MatrixOverD | None:
-    """Inverse by row reduction of [M | I], or None if singular."""
+    """Inverse by row reduction of [M | I], or None if singular.
+
+    The result, checked on both sides, is kept on the matrix: asking again
+    for the inverse of the same matrix object costs nothing.
+    """
+    if matrix._inverse is _UNKNOWN:
+        matrix._inverse = _row_reduce_inverse(matrix)
+    return matrix._inverse
+
+
+def _row_reduce_inverse(matrix: MatrixOverD) -> MatrixOverD | None:
     if matrix.rows != matrix.cols:
         raise ValidationError("only square matrices can be inverted")
     alg = matrix.algebra
@@ -377,13 +410,16 @@ def apply_sigma(sigma: AlgebraAutomorphism, target):
 
     Accepts a MatrixOverD or a RightSubspace; subspace images are
     re-canonicalized (entrywise sigma preserves canonical form, but the
-    caller should not have to rely on that).
+    caller should not have to rely on that).  The identity returns the
+    target itself.
     """
+    if not isinstance(target, (MatrixOverD, RightSubspace)):
+        raise ValidationError(f"cannot apply an automorphism to {type(target).__name__}")
+    if sigma.is_identity():  # both kinds are immutable; a subspace is canonical
+        return target
     if isinstance(target, MatrixOverD):
         return target.map_entries(sigma.apply)
-    if isinstance(target, RightSubspace):
-        return column_echelon(target.basis.map_entries(sigma.apply))
-    raise ValidationError(f"cannot apply an automorphism to {type(target).__name__}")
+    return column_echelon(target.basis.map_entries(sigma.apply))
 
 
 # -- seeded random sampling --------------------------------------------------

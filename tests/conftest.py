@@ -46,3 +46,31 @@ def subspace_rows(v):
         tuple(v.basis.entries[r][j].coords[0] for r in range(v.ambient_dim))
         for j in range(v.dim)
     )
+
+
+def _zeta5_power_lifts(Z5):
+    """x -> x^a on Q(zeta_5) for a = 2, 3, 4; column j is the image of x^j."""
+    def power(e):
+        e %= 5
+        # x^4 = -1 - x - x^2 - x^3
+        return [-1, -1, -1, -1] if e == 4 else [1 if t == e else 0 for t in range(4)]
+
+    return [sg.AlgebraAutomorphism(Z5, [[power(a * j)[i] for j in range(4)] for i in range(4)],
+                                   name=f"x^{a}") for a in (2, 3, 4)]
+
+
+def lifted_algebras():
+    """(algebra, lift table) for Q, Q(i), H, (-1,3|Q) and Q(zeta_5), all lifts listed."""
+    Q = sg.rational_algebra()
+    Qi = sg.field_algebra([1, 0, 1])
+    H = sg.quaternion_algebra(-1, -1)
+    B6 = sg.quaternion_algebra(-1, 3)
+    Z5 = sg.field_algebra([1, 1, 1, 1, 1])
+    conj = sg.AlgebraAutomorphism(Qi, [[1, 0], [0, -1]], name="conj")
+    return [
+        (Q, sg.LiftTable.build(Q)),
+        (Qi, sg.LiftTable.build(Qi, [conj])),
+        (H, sg.LiftTable.build(H)),
+        (B6, sg.LiftTable.build(B6)),
+        (Z5, sg.LiftTable.build(Z5, _zeta5_power_lifts(Z5))),
+    ]

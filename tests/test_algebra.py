@@ -9,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import skewgrass as sg
+from conftest import lifted_algebras
+from skewgrass import qlinalg
 from skewgrass.errors import AlgebraDataError, ValidationError
 
 small_coords = st.lists(
@@ -221,3 +223,26 @@ def test_quaternion_inverse_antihomomorphism(a, b):
     if x.is_zero() or y.is_zero():
         return
     assert (x * y).inv() == y.inv() * x.inv()
+
+
+def _automorphisms(alg, lifts):
+    """Every lift, plus conjugations by 1 + b_1 and b_2 on a noncommutative algebra."""
+    autos = list(lifts)
+    if alg.dim == 4:
+        for q in (alg.one() + alg.basis_element(1), alg.basis_element(2)):
+            images = [(q * b * q.inv()).coords for b in alg.basis_elements()]
+            autos.append(sg.validate_automorphism(alg, [[c[i] for c in images] for i in range(4)]))
+    return autos
+
+
+@pytest.mark.parametrize("alg, lifts", lifted_algebras(), ids=lambda x: getattr(x, "label", ""))
+@settings(max_examples=10)
+@given(data=st.data())
+def test_apply_coords_matches_matvec(alg, lifts, data):
+    coord = st.one_of(st.just(F(0)), st.fractions(min_value=-5, max_value=5, max_denominator=6))
+    coords = tuple(data.draw(st.lists(coord, min_size=alg.dim, max_size=alg.dim), label="coords"))
+    for theta in _automorphisms(alg, lifts):
+        matrix = [list(r) for r in theta.matrix]
+        assert theta.apply_coords(coords) == tuple(qlinalg.matvec(matrix, list(coords)))
+        assert theta.apply(alg.element(coords)).coords == theta.apply_coords(coords)
+        assert theta.is_identity() == qlinalg.is_identity(matrix)

@@ -239,6 +239,40 @@ def test_compose_autos_rejects_a_wrong_unit(H, monkeypatch):
         sg.compose_autos(block, (p1, ident), (p2, ident), sg.matrix_inv(p1), sg.matrix_inv(p2))
 
 
+@pytest.mark.parametrize("wrong", ["pinv1", "pinv2"])
+def test_compose_autos_rejects_a_wrong_inverse(Qi, wrong):
+    # a central multiple of the true inverse is still invertible, so only the
+    # generator check can tell; P is built without the inverses
+    block = sg.Block(Qi, 2, conj_lifts(Qi))
+    pairs = [(sg.random_invertible(Qi, 2, seed=s), block.lifts.get("conj")) for s in (46, 47)]
+    pinvs = {"pinv1": sg.matrix_inv(pairs[0][0]), "pinv2": sg.matrix_inv(pairs[1][0])}
+    pinvs[wrong] = pinvs[wrong] * sg.MatrixOverD.scalar(Qi, 2, Qi.element([2, 0]))
+    with pytest.raises(ValidationError, match="failed to reconstruct"):
+        sg.compose_autos(block, *pairs, pinvs["pinv1"], pinvs["pinv2"])
+
+
+def test_compose_autos_needs_lifts_from_the_table(Qi):
+    block = sg.Block(Qi, 2)
+    conj = sg.AlgebraAutomorphism(Qi, [[1, 0], [0, -1]], name="conj")
+    eye = sg.MatrixOverD.identity(Qi, 2)
+    with pytest.raises(ValidationError, match="two lifts from its table"):
+        sg.compose_autos(block, (eye, conj), (eye, block.lifts.identity), eye, eye)
+    # a lift equal to a table entry counts as that entry
+    same = sg.AlgebraAutomorphism(Qi, [[1, 0], [0, 1]], name="other")
+    assert sg.compose_autos(block, (eye, same), (eye, same), eye, eye)[1] is block.lifts.identity
+
+
+def test_composites_are_kept_per_table():
+    first, second = (sg.load_endo_structure("remark-A2") for _ in range(2))
+    for b1, b2 in zip(first.product.blocks, second.product.blocks):
+        assert b1.lifts.composites is not b2.lifts.composites
+        size = len(b1.lifts)
+        assert set(b1.lifts.composites) == {(i, j) for i in range(size) for j in range(size)}
+        for key, found in b1.lifts.composites.items():
+            assert all(x is not y for x, y in zip(found, b2.lifts.composites[key]))
+            assert any(found[1] is e for e in b1.lifts.entries)
+
+
 def _key_blocks():
     Qi = sg.field_algebra([1, 0, 1])
     algebras = [(Qi, conj_lifts(Qi)), (sg.quaternion_algebra(-1, -1), None),

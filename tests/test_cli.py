@@ -183,6 +183,18 @@ def test_demo_type_bad_max_tries_exits_2(capsys):
     assert "max_tries must be at least 1" in json.loads(out)["error"]
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("survey", "remark-A", "--type", "1,1", "--max-tries", "-5", "--count", "0"), "count must be at least 1"),
+    (("survey", "remark-A", "--type", "1,1", "--max-tries", "-5"), "max_tries must be at least 1"),
+    (("demo", "remark-A2", "--type", "2,1", "--count", "0"), "count must be at least 1"),
+    (("demo", "remark-A2", "--type", "2,1", "--max-tries", "0"), "max_tries must be at least 1"),
+])
+def test_bad_budget_on_a_negative_type_exits_2(capsys, argv, message):
+    code, out = run(capsys, *argv)
+    assert code == 2
+    assert message in json.loads(out)["error"]
+
+
 # -- determinism and rendering --
 
 def test_byte_identical_reruns(capsys):

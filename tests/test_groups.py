@@ -233,6 +233,13 @@ def test_exists_free_statuses(Qi, Q):
     assert negative.witness_name == "c"
 
 
+def test_exists_free_rejects_a_bad_budget_on_any_type(Qi, Q):
+    _, action = two_block_action(Qi, Q)
+    for kvec in ((1, 1), (0, 1)):
+        with pytest.raises(ValidationError, match="max_tries must be at least 1"):
+            sg.exists_free(action, kvec, max_tries=0)
+
+
 def test_swap_group_needs_distinct_components(Q):
     # with swapped equal factors the second component must avoid the image
     # of the first under the cross-factor map, here simply V2 != V1

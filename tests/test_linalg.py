@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 import oracles
 import skewgrass as sg
-from conftest import subspace_rows
+from conftest import lifted_algebras, subspace_rows
+from skewgrass import linalg
 from skewgrass.errors import SingularMatrixError, ValidationError
 from skewgrass.linalg import random_matrix
 
@@ -179,3 +180,46 @@ def test_echelon_idempotent_on_its_own_basis(seed):
     assert sg.column_echelon(v.basis) == v
     for j in range(v.dim):
         assert v.contains_vector(v.basis.column(j))
+
+
+@pytest.mark.parametrize("alg", [alg for alg, _ in lifted_algebras()], ids=lambda a: a.label)
+@settings(max_examples=10)
+@given(data=st.data())
+def test_fused_product_matches_the_element_loop(alg, data):
+    rows, inner, cols = (data.draw(st.integers(1, 3), label=x) for x in ("rows", "inner", "cols"))
+    coord = st.one_of(st.just(F(0)), st.fractions(min_value=-3, max_value=3, max_denominator=4))
+    entry = st.one_of(st.just([0] * alg.dim), st.lists(coord, min_size=alg.dim, max_size=alg.dim))
+
+    def matrix(r, c, label):
+        grid = st.lists(st.lists(entry, min_size=c, max_size=c), min_size=r, max_size=r)
+        return sg.MatrixOverD.from_rows(alg, data.draw(grid, label=label))
+
+    a, b = matrix(rows, inner, "A"), matrix(inner, cols, "B")
+    expected = [[sum((a.entries[i][k] * b.entries[k][j] for k in range(inner)), alg.zero())
+                 for j in range(cols)] for i in range(rows)]
+    product = a * b
+    assert (product.rows, product.cols) == (rows, cols)
+    assert product.entries == tuple(map(tuple, expected))
+
+
+def test_identity_lift_returns_its_target(H):
+    ident = sg.LiftTable.build(H).identity
+    m = sg.random_invertible(H, 2, seed=5)
+    v = sg.random_subspace(H, 3, 2, seed=6)
+    assert sg.apply_sigma(ident, m) is m
+    assert sg.apply_sigma(ident, v) is v
+    with pytest.raises(ValidationError):
+        sg.apply_sigma(ident, "not a matrix")
+
+
+def test_try_inverse_row_reduces_a_matrix_once(H, monkeypatch):
+    calls = []
+    real = linalg._row_reduce_inverse
+    monkeypatch.setattr(linalg, "_row_reduce_inverse", lambda m: calls.append(m) or real(m))
+    m = sg.random_invertible(H, 3, seed=7)
+    singular = sg.MatrixOverD.zeros(H, 2, 2)
+    assert sg.try_inverse(m) is sg.try_inverse(m)
+    assert sg.try_inverse(singular) is None and sg.try_inverse(singular) is None
+    assert len(calls) == 2
+    assert sg.try_inverse(m) * m == sg.MatrixOverD.identity(H, 3)
+    assert m == sg.MatrixOverD(H, m.entries) and hash(m) == hash(sg.MatrixOverD(H, m.entries))

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 import skewgrass as sg
-from skewgrass import schema
+from skewgrass import linalg, schema
 from skewgrass.errors import ValidationError
 
 
@@ -92,6 +92,17 @@ def test_singular_p_is_located():
     d["group"]["elements"][1]["maps"][1]["P"] = [[[1], [0]], [[1], [0]]]
     err = parse_fail(d, "singular")
     assert err.path == "group.elements[1].maps[1].P"
+
+
+def test_each_listed_p_is_row_reduced_once(monkeypatch):
+    # schema inverts every P to locate a singular one; validate_group reuses it
+    calls = []
+    real = linalg._row_reduce_inverse
+    monkeypatch.setattr(linalg, "_row_reduce_inverse", lambda m: calls.append(m) or real(m))
+    structure = sg.load_endo_structure("remark-A2")
+    listed = [p for g in structure.action.elements for p, _ in g.maps]
+    assert len(calls) == len(listed)
+    assert all(c is p for c, p in zip(calls, listed))
 
 
 def test_reducible_field_is_located():
