@@ -53,13 +53,11 @@ from .frontend import (
 )
 from .groups import (
     FreeCertificate,
-    FreeSearchReport,
     GaloisAction,
     GroupElement,
     ProductAlgebra,
     act_on_ideal,
     acts_trivially_on_type,
-    exists_free,
     fixing_element,
     orbit,
     search_free,

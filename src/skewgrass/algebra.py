@@ -418,12 +418,6 @@ class CenterDescription:
     def contains(self, coords) -> bool:
         return self.coords_in_center(coords) is not None
 
-    def element_from_center_coords(self, ccoords) -> AlgebraElement:
-        out = self.algebra.zero()
-        for q, z in zip(ccoords, self.basis):
-            out = out + z.scale(q)
-        return out
-
     def mult_table(self):
         """Center coordinates of z_l * z_m for every basis pair."""
         if self._mult is None:

@@ -38,13 +38,9 @@ class IncompleteLiftTableError(ValidationError):
 
 
 class SearchExhausted(SkewgrassError):
-    """A randomized search hit its retry budget without finishing.
+    """A random sampler (random_subspace, random_invertible) hit its draw budget.
 
-    Carries whatever was found so far; callers report this outcome as
-    inconclusive, never as a certified negative.
+    search_free turns this into an 'inconclusive' certificate that keeps the
+    samples spent and the ideals found so far; it is never a certified
+    negative.
     """
-
-    def __init__(self, message: str, partial=(), tries_used: int = 0):
-        super().__init__(message)
-        self.partial = tuple(partial)
-        self.tries_used = tries_used

@@ -15,16 +15,8 @@ from fractions import Fraction
 
 from . import datasets, schema
 from .algebra import center
-from .errors import SearchExhausted, ValidationError
-from .groups import (
-    GaloisAction,
-    ProductAlgebra,
-    check_budget,
-    fixing_element,
-    search_free,
-    stabilizer,
-    validate_group,
-)
+from .errors import ValidationError
+from .groups import GaloisAction, ProductAlgebra, search_free, stabilizer, validate_group
 from .ideals import ProductIdeal, ideal_type
 from .linalg import random_subspace, subseed
 
@@ -188,8 +180,12 @@ def _isogeny_class_label(structure: EndoStructure, kvec) -> str:
 def field_of_definition(structure: EndoStructure, ideal: ProductIdeal) -> SubvarietyReport:
     """Stabilizer of the ideal, the matching field label, and the degree."""
     _check_ideal_shape(structure, ideal)
+    return _subvariety_report(structure, ideal, tuple(stabilizer(structure.action, ideal)))
+
+
+def _subvariety_report(structure: EndoStructure, ideal: ProductIdeal, stab: tuple) -> SubvarietyReport:
+    """The report for an ideal whose sorted stabilizer names are already known."""
     kvec = ideal_type(ideal)
-    stab = tuple(stabilizer(structure.action, ideal))
     degree = structure.action.order // len(stab)
     dim = sum(k * dim_c for k, (_, dim_c) in zip(kvec, structure.factors))
     return SubvarietyReport(
@@ -241,53 +237,52 @@ def subvariety_survey(structure: EndoStructure, kvec, count: int = 1, seed: int 
     Returns a JSON-ready payload: status 'negative' with a certified witness
     element fixing every ideal of the type, 'positive' with `count` verified
     witnesses and their fields, or 'inconclusive' when the search budget ran
-    out (which is never reported as nonexistence).
+    out (which is never reported as nonexistence).  search_free decides;
+    this function only formats its certificate.
     """
-    kvec = structure.product.check_type(kvec)
-    check_budget(count, max_tries)
     action = structure.action
+    cert = search_free(action, kvec, count, seed, max_tries=max_tries)
+    kvec = tuple(int(k) for k in kvec)
     g = structure.g_total
     payload = {
-        "type": [int(k) for k in kvec],
+        "type": list(kvec),
         "isogeny_class": _isogeny_class_label(structure, kvec),
         "group_order": action.order,
         "bound": {"dim": g, "value": remond_bound(g)},
         "seed": seed,
     }
-    witness = fixing_element(action, kvec)
-    if witness is not None:
+    if cert.status == "negative":
         stabs = _sample_stabilizers(structure, kvec, seed)
         payload.update({
             "status": "negative",
-            "certificate": {"witness": witness.name},
+            "certificate": {"witness": cert.witness_name},
             "statement": (
-                f"element {witness.name!r} fixes every ideal of type {list(kvec)}, so no "
+                f"element {cert.witness_name!r} fixes every ideal of type {list(kvec)}, so no "
                 f"subvariety in this class has field of definition {structure.full_label}"
             ),
             "possible_stabilizers": [list(s) for s in stabs],
             "possible_fields": [structure.field_label_for(s) for s in stabs],
         })
-        return payload
-    try:
-        report = search_free(action, kvec, count, seed, max_tries=max_tries)
-    except SearchExhausted as exc:
+    elif cert.status == "inconclusive":
         payload.update({
             "status": "inconclusive",
-            "detail": str(exc),
-            "tries_used": exc.tries_used,
-            "found": len(exc.partial),
+            "detail": cert.detail,
+            "tries_used": cert.tries_used,
+            "found": len(cert.ideals),
         })
-        return payload
-    witnesses = []
-    for ideal in report.ideals:
-        sub = field_of_definition(structure, ideal)
-        entry = sub.to_json()
-        entry["bound_ok"] = check_bound(sub, g)
-        witnesses.append(entry)
-    payload.update({
-        "status": "positive",
-        "count": count,
-        "tries_used": report.tries_used,
-        "witnesses": witnesses,
-    })
+    else:
+        # search_free certified every ideal free, so its stabilizer is the identity alone
+        free = (action.identity_name,)
+        witnesses = []
+        for ideal in cert.ideals:
+            sub = _subvariety_report(structure, ideal, free)
+            entry = sub.to_json()
+            entry["bound_ok"] = check_bound(sub, g)
+            witnesses.append(entry)
+        payload.update({
+            "status": "positive",
+            "count": count,
+            "tries_used": cert.tries_used,
+            "witnesses": witnesses,
+        })
     return payload

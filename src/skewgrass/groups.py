@@ -7,9 +7,13 @@ descriptions, so those pairs compose inside a single factor.  Two elements
 act alike exactly when their permutations and the autos.action_key of
 every pair agree; the keys are computed once, when an element is built.
 
-An ideal is free when its stabilizer is trivial.  The search routine picks
-the component subspaces one factor at a time: each candidate must be moved
-by every relevant same-factor map and must avoid the images of previously
+An ideal is free when its stabilizer is trivial.  search_free is the one
+place that decides whether free ideals of a type exist, and it returns a
+FreeCertificate for every outcome: 'negative' when a nontrivial element
+fixes every ideal of the type, 'positive' with the ideals found, or
+'inconclusive' when the sample budget runs out.  The search picks the
+component subspaces one factor at a time: each candidate must be moved by
+every relevant same-factor map and must avoid the images of previously
 chosen components under cross-factor maps; a direct stabilizer test
 certifies every emitted ideal.
 """
@@ -47,9 +51,6 @@ class ProductAlgebra:
     @property
     def r(self) -> int:
         return len(self.blocks)
-
-    def type_bounds(self) -> tuple[int, ...]:
-        return tuple(b.n for b in self.blocks)
 
     def check_type(self, kvec) -> tuple[int, ...]:
         kvec = tuple(int(k) for k in kvec)
@@ -275,58 +276,49 @@ def fixing_element(action: GaloisAction, kvec) -> GroupElement | None:
 
 
 @dataclass
-class FreeSearchReport:
-    """Outcome of a successful free-ideal search."""
-
-    ideals: tuple
-    tries_used: int
-    seed: int
-
-
-@dataclass
 class FreeCertificate:
-    """Decision for 'does a free ideal of this type exist'.
+    """Decision for 'does a free ideal of this type exist', from search_free.
 
-    status is 'negative' (witness: a nontrivial element fixing every ideal
-    of the type), 'positive' (witness ideal attached), or 'inconclusive'
-    (search budget exhausted; never treated as a proof of absence).
+    status is 'negative' (witness_name: a nontrivial element fixing every
+    ideal of the type; ideals is empty), 'positive' (ideals holds the
+    requested number of pairwise distinct ideals, each certified free) or
+    'inconclusive' (the sample budget ran out; ideals holds those found so
+    far, and the outcome is never a proof of absence).  tries_used counts
+    the subspace samples spent.
     """
 
     status: str
     witness_name: str | None = None
-    ideal: ProductIdeal | None = None
+    ideals: tuple = ()
     tries_used: int = 0
     detail: str | None = None
 
 
-def check_budget(count: int, max_tries: int):
-    """Reject a search request for fewer than one ideal or one sample."""
+def search_free(action: GaloisAction, kvec, count: int = 1, seed: int = 0,
+                max_tries: int = 1000) -> FreeCertificate:
+    """Decide whether free ideals of the given type exist, and find `count` of them.
+
+    The type is checked first, then count and max_tries.  If some
+    nontrivial element fixes every ideal of the type, the answer is a
+    certified negative and nothing is sampled.  Otherwise components are
+    rejection-sampled factor by factor.  Component i must be moved by every
+    same-factor map that is nontrivial on its Grassmannian, and must differ
+    from the cross-factor images of the components already chosen.
+    max_tries bounds the total number of subspace samples, so the search
+    always terminates; the coordinate height grows 10 -> 100 -> 1000 across
+    thirds of that budget.  Every assembled ideal is certified free by a
+    direct stabilizer test before it is kept.  A spent budget, or a sampler
+    that cannot draw a subspace of the right rank, ends the search as
+    inconclusive with the ideals found so far.
+    """
+    kvec = action.product.check_type(kvec)
     if count < 1:
         raise ValidationError("count must be at least 1")
     if max_tries < 1:
         raise ValidationError("max_tries must be at least 1")
-
-
-def search_free(action: GaloisAction, kvec, count: int, seed: int,
-                max_tries: int = 1000) -> FreeSearchReport:
-    """Find pairwise distinct free ideals of the given type.
-
-    Components are rejection-sampled factor by factor.  Component i must be
-    moved by every same-factor map that is nontrivial on its Grassmannian,
-    and must differ from the cross-factor images of the components already
-    chosen.  max_tries bounds the total number of subspace samples, so the
-    search always terminates; the coordinate height grows 10 -> 100 -> 1000
-    across thirds of that budget.  Every assembled ideal is certified free
-    by a direct stabilizer test before being emitted.
-    """
-    kvec = action.product.check_type(kvec)
-    check_budget(count, max_tries)
     witness = fixing_element(action, kvec)
     if witness is not None:
-        raise ValidationError(
-            f"no free ideal of type {kvec} exists: element {witness.name!r} fixes every ideal "
-            f"of this type"
-        )
+        return FreeCertificate(status="negative", witness_name=witness.name)
     r = action.product.r
     same_factor = []
     cross_factor = []
@@ -350,6 +342,11 @@ def search_free(action: GaloisAction, kvec, count: int, seed: int,
     seen_ideals = set()
     tries_used = 0
     candidate = 0
+
+    def inconclusive(detail: str) -> FreeCertificate:
+        return FreeCertificate(status="inconclusive", ideals=tuple(found),
+                               tries_used=tries_used, detail=detail)
+
     while len(found) < count and tries_used < max_tries:
         chosen = []
         for i, block in enumerate(action.product.blocks):
@@ -363,9 +360,15 @@ def search_free(action: GaloisAction, kvec, count: int, seed: int,
                     height = 100
                 else:
                     height = 1000
-                v = random_subspace(block.algebra, block.n, kvec[i],
-                                    subseed(seed, 0x5F, candidate, i, attempt), height)
                 tries_used += 1
+                try:
+                    v = random_subspace(block.algebra, block.n, kvec[i],
+                                        subseed(seed, 0x5F, candidate, i, attempt), height)
+                except SearchExhausted as exc:
+                    return inconclusive(
+                        f"free-ideal search stopped after {tries_used} samples with "
+                        f"{len(found)} of {count} ideals found: {exc} (factor {i + 1})"
+                    )
                 attempt += 1
                 if any(act_on_subspace(*pair, v) == v for pair in same_factor[i]):
                     continue
@@ -374,10 +377,9 @@ def search_free(action: GaloisAction, kvec, count: int, seed: int,
                 picked = v
                 break
             if picked is None:
-                raise SearchExhausted(
+                return inconclusive(
                     f"free-ideal search spent its {max_tries}-sample budget with "
-                    f"{len(found)} of {count} ideals found (stuck on factor {i + 1})",
-                    partial=found, tries_used=tries_used,
+                    f"{len(found)} of {count} ideals found (stuck on factor {i + 1})"
                 )
             chosen.append(picked)
         candidate += 1
@@ -393,24 +395,8 @@ def search_free(action: GaloisAction, kvec, count: int, seed: int,
         seen_ideals.add(ideal)
         found.append(ideal)
     if len(found) < count:
-        raise SearchExhausted(
+        return inconclusive(
             f"free-ideal search produced only {len(found)} of {count} distinct ideals "
-            f"within the {max_tries}-sample budget",
-            partial=found, tries_used=tries_used,
+            f"within the {max_tries}-sample budget"
         )
-    return FreeSearchReport(ideals=tuple(found), tries_used=tries_used, seed=seed)
-
-
-def exists_free(action: GaloisAction, kvec, seed: int = 0,
-                max_tries: int = 1000) -> FreeCertificate:
-    """Certified decision with witness, or an honest 'inconclusive'."""
-    kvec = action.product.check_type(kvec)
-    check_budget(1, max_tries)
-    witness = fixing_element(action, kvec)
-    if witness is not None:
-        return FreeCertificate(status="negative", witness_name=witness.name)
-    try:
-        report = search_free(action, kvec, 1, seed, max_tries=max_tries)
-    except SearchExhausted as exc:
-        return FreeCertificate(status="inconclusive", tries_used=exc.tries_used, detail=str(exc))
-    return FreeCertificate(status="positive", ideal=report.ideals[0], tries_used=report.tries_used)
+    return FreeCertificate(status="positive", ideals=tuple(found), tries_used=tries_used)

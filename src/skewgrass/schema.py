@@ -238,10 +238,6 @@ def parse_product_ideal(data, product: ProductAlgebra, path: str = "ideal") -> P
 # -- serialization -----------------------------------------------------------
 
 
-def ser_rational(q):
-    return rat_str(q)
-
-
 def ser_element(e: AlgebraElement):
     return [rat_str(c) for c in e.coords]
 

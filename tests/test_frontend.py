@@ -8,7 +8,7 @@ import pytest
 
 import oracles
 import skewgrass as sg
-from skewgrass import schema
+from skewgrass import groups, schema
 from skewgrass.errors import ValidationError
 
 
@@ -168,6 +168,52 @@ def test_survey_inconclusive_on_tiny_budget():
     assert res["tries_used"] <= 5
     assert "detail" in res
     assert json.dumps(res)
+
+
+def swap_structure():
+    """Two copies of M_2(Q) exchanged by an involution, as an EndoStructure."""
+    Q = sg.rational_algebra()
+    block = sg.Block(Q, 2)
+    product = sg.ProductAlgebra([block, block])
+    eye = (sg.MatrixOverD.identity(Q, 2), block.lifts.identity)
+    action = sg.validate_group(product, [
+        sg.GroupElement("id", (0, 1), [eye, eye]),
+        sg.GroupElement("swap", (1, 0), [eye, eye]),
+    ])
+    return sg.EndoStructure(product=product, action=action, factors=(("E", 1), ("E", 1)),
+                            base_label="Q", full_label="K",
+                            field_table={("id",): "K", ("id", "swap"): "Q"})
+
+
+@pytest.mark.parametrize("make", [lambda: sg.load_endo_structure("remark-A2"), swap_structure],
+                         ids=["remark-A2", "swap"])
+def test_survey_witnesses_match_field_of_definition(make):
+    # the survey reuses the stabilizer search_free certified; the entries must
+    # equal a from-scratch field_of_definition report
+    E = make()
+    res = sg.subvariety_survey(E, (1, 1), count=4, seed=5)
+    cert = sg.search_free(E.action, (1, 1), count=4, seed=5)
+    assert res["status"] == "positive" and len(res["witnesses"]) == 4
+    for w, ideal in zip(res["witnesses"], cert.ideals):
+        report = sg.field_of_definition(E, ideal)
+        assert w == dict(report.to_json(), bound_ok=sg.check_bound(report, E.g_total))
+
+
+@pytest.mark.parametrize("kvec", [(1, 1), (2, 1)])
+def test_one_survey_calls_fixing_element_once(kvec, monkeypatch):
+    E = sg.load_endo_structure("remark-A2")
+    calls = []
+    real = groups.fixing_element
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(groups, "fixing_element", counting)
+    sg.subvariety_survey(E, kvec, count=2, seed=1)
+    assert len(calls) == 1
+    sg.search_free(E.action, kvec, count=2, seed=1)
+    assert len(calls) == 2
 
 
 def test_survey_type_validation():

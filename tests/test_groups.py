@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import skewgrass as sg
-from skewgrass import autos
+from skewgrass import autos, groups
 from skewgrass.errors import SearchExhausted, ValidationError
 
 
@@ -216,28 +216,36 @@ def test_search_free_on_conjugation_action(Qi, Q):
         assert sg.stabilizer(action, ideal) == ["id"]
 
 
-def test_search_free_rejects_doomed_type(Qi, Q):
+def test_search_free_certifies_doomed_type_negative(Qi, Q):
     _, action = two_block_action(Qi, Q)
-    with pytest.raises(ValidationError, match="fixes every ideal"):
-        sg.search_free(action, (0, 1), count=1, seed=0)
+    cert = sg.search_free(action, (0, 1), count=1, seed=0)
+    assert cert.status == "negative"
+    assert cert.witness_name == "c"
+    assert cert.ideals == () and cert.tries_used == 0
 
 
-def test_exists_free_statuses(Qi, Q):
+def test_search_free_statuses(Qi, Q):
     _, action = two_block_action(Qi, Q)
-    positive = sg.exists_free(action, (1, 1), seed=7)
+    positive = sg.search_free(action, (1, 1), seed=7)
     assert positive.status == "positive"
-    assert positive.ideal is not None
-    assert sg.stabilizer(action, positive.ideal) == ["id"]
-    negative = sg.exists_free(action, (0, 1), seed=7)
+    assert positive.witness_name is None
+    assert len(positive.ideals) == 1
+    assert sg.stabilizer(action, positive.ideals[0]) == ["id"]
+    negative = sg.search_free(action, (0, 1), seed=7)
     assert negative.status == "negative"
     assert negative.witness_name == "c"
 
 
-def test_exists_free_rejects_a_bad_budget_on_any_type(Qi, Q):
+def test_search_free_rejects_a_bad_budget_on_any_type(Qi, Q):
     _, action = two_block_action(Qi, Q)
     for kvec in ((1, 1), (0, 1)):
         with pytest.raises(ValidationError, match="max_tries must be at least 1"):
-            sg.exists_free(action, kvec, max_tries=0)
+            sg.search_free(action, kvec, max_tries=0)
+        with pytest.raises(ValidationError, match="count must be at least 1"):
+            sg.search_free(action, kvec, count=0, max_tries=0)
+    # the type is checked before the budget
+    with pytest.raises(ValidationError, match="out of range"):
+        sg.search_free(action, (3, 1), count=0, max_tries=0)
 
 
 def test_swap_group_needs_distinct_components(Q):
@@ -263,11 +271,42 @@ def test_search_exhaustion_is_inconclusive(Q):
     # type (2, 2) leaves single-point Grassmannians on both factors, so the
     # swap fixes everything and the precheck certifies a negative instead
     _, action = swap_action(Q)
-    cert = sg.exists_free(action, (2, 2), seed=1)
+    cert = sg.search_free(action, (2, 2), seed=1)
     assert cert.status == "negative"
     assert cert.witness_name == "swap"
-    # a genuinely impossible sampling goal must surface as SearchExhausted,
-    # not hang: ask for more distinct lines than sampling can provide cheaply
-    with pytest.raises(SearchExhausted) as err:
-        sg.search_free(action, (1, 1), count=10 ** 6, seed=1, max_tries=3)
-    assert err.value.tries_used > 0
+    # a genuinely impossible sampling goal must come back inconclusive, not
+    # hang: ask for more distinct lines than the budget can provide
+    cert = sg.search_free(action, (1, 1), count=10 ** 6, seed=1, max_tries=3)
+    assert cert.status == "inconclusive"
+    assert 0 < cert.tries_used <= 3
+    assert 0 < len(cert.ideals) < 10 ** 6
+    for ideal in cert.ideals:
+        assert sg.stabilizer(action, ideal) == ["id"]
+    assert "3-sample budget" in cert.detail
+
+
+def test_exhausted_sampler_reports_the_work_done(Qi, Q, monkeypatch):
+    # random_subspace gives up (SearchExhausted) on its 7th call; the search
+    # must still report the samples it spent and the ideals it found
+    _, action = two_block_action(Qi, Q)
+    real = sg.search_free(action, (1, 1), count=10, seed=3)
+    calls = []
+
+    def flaky(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == 7:
+            raise SearchExhausted("could not sample a rank-1 matrix in 1000 draws")
+        return sg.random_subspace(*args, **kwargs)
+
+    monkeypatch.setattr(groups, "random_subspace", flaky)
+    cert = sg.search_free(action, (1, 1), count=10, seed=3)
+    assert cert.status == "inconclusive"
+    assert cert.tries_used == 7
+    assert cert.ideals and cert.ideals == real.ideals[:len(cert.ideals)]
+    assert "rank-1" in cert.detail
+    E = sg.load_endo_structure("remark-A2")
+    calls.clear()
+    res = sg.subvariety_survey(E, (1, 1), count=10, seed=3)
+    assert res["status"] == "inconclusive"
+    assert res["tries_used"] == 7
+    assert res["found"] > 0
