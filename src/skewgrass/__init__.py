@@ -58,10 +58,10 @@ from .groups import (
     ProductAlgebra,
     act_on_ideal,
     acts_trivially_on_type,
-    fixing_element,
     orbit,
     search_free,
     stabilizer,
+    type_kernel,
     validate_group,
 )
 from .ideals import ProductIdeal, ideal_type, idempotent_generator, subspace_of_ideal

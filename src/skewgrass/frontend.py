@@ -18,7 +18,6 @@ from .algebra import center
 from .errors import ValidationError
 from .groups import GaloisAction, ProductAlgebra, search_free, stabilizer, validate_group
 from .ideals import ProductIdeal, ideal_type
-from .linalg import random_subspace, subseed
 
 
 @dataclass
@@ -217,25 +216,13 @@ def check_bound(report: SubvarietyReport, g: int) -> bool:
     return report.degree_over_base <= remond_bound(g)
 
 
-def _sample_stabilizers(structure: EndoStructure, kvec, seed: int, samples: int = 20):
-    """Stabilizers observed on a spread of sampled ideals of the type."""
-    action = structure.action
-    seen = set()
-    for idx in range(samples):
-        subs = [
-            random_subspace(block.algebra, block.n, kvec[i], subseed(seed, 0xA5, idx, i))
-            for i, block in enumerate(structure.product.blocks)
-        ]
-        seen.add(tuple(stabilizer(action, ProductIdeal.from_subspaces(subs))))
-    return sorted(seen)
-
-
 def subvariety_survey(structure: EndoStructure, kvec, count: int = 1, seed: int = 0,
                       max_tries: int = 1000) -> dict:
     """Do subvarieties of this type defined over exactly the full field exist?
 
     Returns a JSON-ready payload: status 'negative' with a certified witness
-    element fixing every ideal of the type, 'positive' with `count` verified
+    element fixing every ideal of the type and the type kernel (the generic
+    stabilizer) with its field, 'positive' with `count` verified
     witnesses and their fields, or 'inconclusive' when the search budget ran
     out (which is never reported as nonexistence).  search_free decides;
     this function only formats its certificate.
@@ -252,7 +239,6 @@ def subvariety_survey(structure: EndoStructure, kvec, count: int = 1, seed: int 
         "seed": seed,
     }
     if cert.status == "negative":
-        stabs = _sample_stabilizers(structure, kvec, seed)
         payload.update({
             "status": "negative",
             "certificate": {"witness": cert.witness_name},
@@ -260,8 +246,8 @@ def subvariety_survey(structure: EndoStructure, kvec, count: int = 1, seed: int 
                 f"element {cert.witness_name!r} fixes every ideal of type {list(kvec)}, so no "
                 f"subvariety in this class has field of definition {structure.full_label}"
             ),
-            "possible_stabilizers": [list(s) for s in stabs],
-            "possible_fields": [structure.field_label_for(s) for s in stabs],
+            "possible_stabilizers": [list(cert.kernel)],
+            "possible_fields": [structure.field_label_for(cert.kernel)],
         })
     elif cert.status == "inconclusive":
         payload.update({

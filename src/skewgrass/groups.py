@@ -9,8 +9,8 @@ every pair agree; the keys are computed once, when an element is built.
 
 An ideal is free when its stabilizer is trivial.  search_free is the one
 place that decides whether free ideals of a type exist, and it returns a
-FreeCertificate for every outcome: 'negative' when a nontrivial element
-fixes every ideal of the type, 'positive' with the ideals found, or
+FreeCertificate for every outcome: 'negative' when the type_kernel is
+nontrivial, 'positive' with the ideals found, or
 'inconclusive' when the sample budget runs out.  The search picks the
 component subspaces one factor at a time: each candidate must be moved by
 every relevant same-factor map and must avoid the images of previously
@@ -219,16 +219,18 @@ def act_on_ideal(g: GroupElement, ideal: ProductIdeal) -> ProductIdeal:
     return ProductIdeal.from_subspaces(out)
 
 
+def _is_subgroup(action: GaloisAction, names) -> bool:
+    """Whether the named elements hold the identity and are closed under composition."""
+    group = set(names)
+    return action.identity_name in group and all(
+        action.composition[(a, b)] in group for a in group for b in group)
+
+
 def stabilizer(action: GaloisAction, ideal: ProductIdeal) -> list[str]:
     """Names of the elements fixing the ideal, sorted; always a subgroup."""
     names = sorted(g.name for g in action.elements if act_on_ideal(g, ideal) == ideal)
-    group = set(names)
-    if action.identity_name not in group:
-        raise ValidationError("internal: stabilizer does not contain the identity")
-    for a in names:
-        for b in names:
-            if action.composition[(a, b)] not in group:
-                raise ValidationError("internal: stabilizer is not closed under composition")
+    if not _is_subgroup(action, names):
+        raise ValidationError("internal: stabilizer is not a subgroup")
     return names
 
 
@@ -267,12 +269,21 @@ def acts_trivially_on_type(action: GaloisAction, g: GroupElement, kvec) -> bool:
     return True
 
 
-def fixing_element(action: GaloisAction, kvec) -> GroupElement | None:
-    """First nontrivial element fixing every ideal of the type, or None.
+def type_kernel(action: GaloisAction, kvec) -> tuple[str, ...]:
+    """Sorted names of the elements fixing every ideal of the type.
 
-    A returned element certifies that no ideal of the type is free.
+    It lies in the stabilizer of every ideal of the type and equals that of
+    a generic one (rational points of Grassmannians are Zariski-dense).  It
+    is checked to be a subgroup, normal in the elements that keep the type.
     """
-    return next((g for g in action.nontrivial() if acts_trivially_on_type(action, g, kvec)), None)
+    kvec = action.product.check_type(kvec)
+    names = tuple(sorted(g.name for g in action.elements if acts_trivially_on_type(action, g, kvec)))
+    kernel, comp = set(names), action.composition
+    keep_type = [g.name for g in action.elements if all(kvec[j] == k for j, k in zip(g.tau, kvec))]
+    if not _is_subgroup(action, names) or any(
+            comp[(comp[(g, a)], action.inverses[g])] not in kernel for g in keep_type for a in names):
+        raise ValidationError("internal: type kernel is not normal in the type-preserving elements")
+    return names
 
 
 @dataclass
@@ -283,11 +294,12 @@ class FreeCertificate:
     ideal of the type; ideals is empty), 'positive' (ideals holds the
     requested number of pairwise distinct ideals, each certified free) or
     'inconclusive' (the sample budget ran out; ideals holds those found so
-    far, and the outcome is never a proof of absence).  tries_used counts
-    the subspace samples spent.
+    far, and the outcome is never a proof of absence).  kernel is the
+    type_kernel, for every status; tries_used counts the samples spent.
     """
 
     status: str
+    kernel: tuple
     witness_name: str | None = None
     ideals: tuple = ()
     tries_used: int = 0
@@ -298,9 +310,9 @@ def search_free(action: GaloisAction, kvec, count: int = 1, seed: int = 0,
                 max_tries: int = 1000) -> FreeCertificate:
     """Decide whether free ideals of the given type exist, and find `count` of them.
 
-    The type is checked first, then count and max_tries.  If some
-    nontrivial element fixes every ideal of the type, the answer is a
-    certified negative and nothing is sampled.  Otherwise components are
+    The type is checked first, then count and max_tries.  A nontrivial
+    type_kernel is a certified negative, witnessed by its first nontrivial
+    element, and nothing is sampled.  Otherwise components are
     rejection-sampled factor by factor.  Component i must be moved by every
     same-factor map that is nontrivial on its Grassmannian, and must differ
     from the cross-factor images of the components already chosen.
@@ -316,35 +328,26 @@ def search_free(action: GaloisAction, kvec, count: int = 1, seed: int = 0,
         raise ValidationError("count must be at least 1")
     if max_tries < 1:
         raise ValidationError("max_tries must be at least 1")
-    witness = fixing_element(action, kvec)
-    if witness is not None:
-        return FreeCertificate(status="negative", witness_name=witness.name)
-    r = action.product.r
+    kernel = type_kernel(action, kvec)
+    if len(kernel) > 1:
+        witness = next(g for g in action.nontrivial() if g.name in kernel)
+        return FreeCertificate(status="negative", kernel=kernel, witness_name=witness.name)
     same_factor = []
     cross_factor = []
-    for i in range(r):
-        seen_keys = set()
-        movers = []
-        for g in action.nontrivial():
-            if g.tau[i] != i or is_trivial_on_grassmannian(*g.maps[i], kvec[i]):
-                continue
-            if g.keys[i] not in seen_keys:
-                seen_keys.add(g.keys[i])
-                movers.append(g.maps[i])
-        same_factor.append(movers)
-        crossings = []
-        for g in action.nontrivial():
-            j = g.tau_inv[i]
-            if j != i and j < i and kvec[j] == kvec[i]:
-                crossings.append((j, g.maps[i]))
-        cross_factor.append(crossings)
+    for i in range(action.product.r):
+        # one pair per distinct action (equal keys give equal images)
+        movers = {g.keys[i]: g.maps[i] for g in action.nontrivial()
+                  if g.tau[i] == i and not is_trivial_on_grassmannian(*g.maps[i], kvec[i])}
+        same_factor.append(list(movers.values()))
+        cross_factor.append([(j, g.maps[i]) for g in action.nontrivial()
+                             if (j := g.tau_inv[i]) < i and kvec[j] == kvec[i]])
     found: list[ProductIdeal] = []
     seen_ideals = set()
     tries_used = 0
     candidate = 0
 
     def inconclusive(detail: str) -> FreeCertificate:
-        return FreeCertificate(status="inconclusive", ideals=tuple(found),
+        return FreeCertificate(status="inconclusive", kernel=kernel, ideals=tuple(found),
                                tries_used=tries_used, detail=detail)
 
     while len(found) < count and tries_used < max_tries:
@@ -399,4 +402,5 @@ def search_free(action: GaloisAction, kvec, count: int = 1, seed: int = 0,
             f"free-ideal search produced only {len(found)} of {count} distinct ideals "
             f"within the {max_tries}-sample budget"
         )
-    return FreeCertificate(status="positive", ideals=tuple(found), tries_used=tries_used)
+    return FreeCertificate(status="positive", kernel=kernel, ideals=tuple(found),
+                           tries_used=tries_used)

@@ -43,18 +43,25 @@ class MatrixOverD:
     __slots__ = ("algebra", "rows", "cols", "entries", "_nonzero", "_inverse")
 
     def __init__(self, algebra: DivisionAlgebra, entries):
-        self.algebra = algebra
-        self._nonzero = None
-        self._inverse = _UNKNOWN
-        self.entries = tuple(tuple(e for e in row) for row in entries)
-        self.rows = len(self.entries)
-        self.cols = len(self.entries[0]) if self.rows else 0
+        self._fill(algebra, entries)
         for row in self.entries:
             if len(row) != self.cols:
                 raise ValidationError("ragged matrix")
             for e in row:
                 if not isinstance(e, AlgebraElement) or e.algebra != algebra:
                     raise ValidationError("matrix entries must be elements of the same algebra")
+
+    def _fill(self, algebra, entries):
+        self.algebra, self._nonzero, self._inverse = algebra, None, _UNKNOWN
+        self.entries = tuple(tuple(row) for row in entries)
+        self.rows, self.cols = len(self.entries), len(self.entries[0]) if self.entries else 0
+
+    @classmethod
+    def _trusted(cls, algebra: DivisionAlgebra, entries) -> "MatrixOverD":
+        """The matrix of rectangular rows of elements of algebra, built without checks."""
+        m = cls.__new__(cls)
+        m._fill(algebra, entries)
+        return m
 
     @classmethod
     def from_rows(cls, algebra, rows) -> "MatrixOverD":
@@ -123,7 +130,7 @@ class MatrixOverD:
                                 acc[w] += c * s
                 out_row.append(AlgebraElement(alg, acc))
             out.append(out_row)
-        return MatrixOverD(alg, out)
+        return MatrixOverD._trusted(alg, out)
 
     def _nonzero_entries(self):
         """Per entry, the (index, coordinate) pairs with nonzero coordinate."""
@@ -137,8 +144,8 @@ class MatrixOverD:
             return NotImplemented
         if self.algebra != other.algebra or (self.rows, self.cols) != (other.rows, other.cols):
             raise ValidationError("matrix shapes do not match")
-        return MatrixOverD(self.algebra, [[a + b for a, b in zip(r1, r2)]
-                                          for r1, r2 in zip(self.entries, other.entries)])
+        return MatrixOverD._trusted(self.algebra, [[a + b for a, b in zip(r1, r2)]
+                                                   for r1, r2 in zip(self.entries, other.entries)])
 
     def __sub__(self, other):
         if not isinstance(other, MatrixOverD):
@@ -146,10 +153,11 @@ class MatrixOverD:
         return self + (-other)
 
     def __neg__(self):
-        return MatrixOverD(self.algebra, [[-e for e in row] for row in self.entries])
+        return MatrixOverD._trusted(self.algebra, [[-e for e in row] for row in self.entries])
 
     def map_entries(self, fn) -> "MatrixOverD":
-        return MatrixOverD(self.algebra, [[fn(e) for e in row] for row in self.entries])
+        """Entrywise image; fn must send elements of this algebra into it."""
+        return MatrixOverD._trusted(self.algebra, [[fn(e) for e in row] for row in self.entries])
 
     def hstack(self, other: "MatrixOverD") -> "MatrixOverD":
         if self.rows != other.rows or self.algebra != other.algebra:
@@ -415,6 +423,8 @@ def apply_sigma(sigma: AlgebraAutomorphism, target):
     """
     if not isinstance(target, (MatrixOverD, RightSubspace)):
         raise ValidationError(f"cannot apply an automorphism to {type(target).__name__}")
+    if sigma.algebra != target.algebra:
+        raise ValidationError("the automorphism acts on a different algebra")
     if sigma.is_identity():  # both kinds are immutable; a subspace is canonical
         return target
     if isinstance(target, MatrixOverD):

@@ -48,6 +48,13 @@ def subspace_rows(v):
     )
 
 
+def sampled_ideals(action, kvec, seeds=3):
+    """One seeded random ideal of the type per seed in range(seeds)."""
+    return [sg.ProductIdeal.from_subspaces([
+        sg.random_subspace(b.algebra, b.n, k, sg.subseed(seed, i))
+        for i, (b, k) in enumerate(zip(action.product.blocks, kvec))]) for seed in range(seeds)]
+
+
 def _zeta5_power_lifts(Z5):
     """x -> x^a on Q(zeta_5) for a = 2, 3, 4; column j is the image of x^j."""
     def power(e):

@@ -8,6 +8,7 @@ import pytest
 
 import oracles
 import skewgrass as sg
+from conftest import sampled_ideals
 from skewgrass import groups, schema
 from skewgrass.errors import ValidationError
 
@@ -199,17 +200,58 @@ def test_survey_witnesses_match_field_of_definition(make):
         assert w == dict(report.to_json(), bound_ok=sg.check_bound(report, E.g_total))
 
 
+def conj_pair_structure():
+    """{id, a, b, ab} on M_1(Q(i)) x M_2(Q(i)): a conjugates factor 1 only, b factor 2 only."""
+    Qi = sg.field_algebra([1, 0, 1])
+    conj = sg.AlgebraAutomorphism(Qi, [[1, 0], [0, -1]], name="conj")
+    lifts = sg.LiftTable.build(Qi, [conj])
+    blocks = [sg.Block(Qi, 1, lifts), sg.Block(Qi, 2, lifts)]
+    product = sg.ProductAlgebra(blocks)
+
+    def element(name, sigmas):
+        return sg.GroupElement(name, (0, 1), [(sg.MatrixOverD.identity(Qi, b.n), lifts.get(s))
+                                              for b, s in zip(blocks, sigmas)])
+
+    action = sg.validate_group(product, [
+        element("id", ("id", "id")), element("a", ("conj", "id")),
+        element("b", ("id", "conj")), element("ab", ("conj", "conj")),
+    ])
+    return sg.EndoStructure(product=product, action=action, factors=(("E", 1), ("F", 1)),
+                            base_label="Q", full_label="L",
+                            field_table={("id",): "L", ("a", "id"): "La", ("b", "id"): "Lb",
+                                         ("ab", "id"): "Lab", ("a", "ab", "b", "id"): "Q"})
+
+
+@pytest.mark.parametrize("kvec, kernel", [
+    ((1, 1), ["a", "id"]),
+    ((0, 1), ["a", "id"]),
+    ((1, 0), ["a", "ab", "b", "id"]),
+    ((1, 2), ["a", "ab", "b", "id"]),
+])
+def test_negative_survey_reports_the_type_kernel(kvec, kernel):
+    E = conj_pair_structure()
+    assert list(sg.type_kernel(E.action, kvec)) == kernel
+    res = sg.subvariety_survey(E, kvec, seed=0)
+    assert res["status"] == "negative"
+    assert res["certificate"] == {"witness": "a"}
+    assert res["possible_stabilizers"] == [kernel]
+    assert res["possible_fields"] == [E.field_label_for(kernel)]
+    # the kernel is the stabilizer of a generic ideal of the type
+    for ideal in sampled_ideals(E.action, kvec):
+        assert sg.stabilizer(E.action, ideal) == kernel
+
+
 @pytest.mark.parametrize("kvec", [(1, 1), (2, 1)])
-def test_one_survey_calls_fixing_element_once(kvec, monkeypatch):
+def test_one_survey_calls_type_kernel_once(kvec, monkeypatch):
     E = sg.load_endo_structure("remark-A2")
     calls = []
-    real = groups.fixing_element
+    real = groups.type_kernel
 
     def counting(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(groups, "fixing_element", counting)
+    monkeypatch.setattr(groups, "type_kernel", counting)
     sg.subvariety_survey(E, kvec, count=2, seed=1)
     assert len(calls) == 1
     sg.search_free(E.action, kvec, count=2, seed=1)

@@ -5,8 +5,11 @@ from __future__ import annotations
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import skewgrass as sg
+from conftest import sampled_ideals
 from skewgrass import autos, groups
 from skewgrass.errors import SearchExhausted, ValidationError
 
@@ -231,9 +234,11 @@ def test_search_free_statuses(Qi, Q):
     assert positive.witness_name is None
     assert len(positive.ideals) == 1
     assert sg.stabilizer(action, positive.ideals[0]) == ["id"]
+    assert positive.kernel == ("id",)
     negative = sg.search_free(action, (0, 1), seed=7)
     assert negative.status == "negative"
     assert negative.witness_name == "c"
+    assert negative.kernel == ("c", "id")
 
 
 def test_search_free_rejects_a_bad_budget_on_any_type(Qi, Q):
@@ -310,3 +315,130 @@ def test_exhausted_sampler_reports_the_work_done(Qi, Q, monkeypatch):
     assert res["status"] == "inconclusive"
     assert res["tries_used"] == 7
     assert res["found"] > 0
+
+
+def swapped_quaternion_action(H):
+    """M_2(H) x M_2(H): conjugation by i on either factor (a, b), and the swap s."""
+    block = sg.Block(H, 2)
+    one, by_i = sg.MatrixOverD.identity(H, 2), sg.MatrixOverD.scalar(H, 2, H.basis_element(1))
+    elements = []
+    for flip, tau in (("", (0, 1)), ("s", (1, 0))):
+        for name, ps in (("id", (one, one)), ("a", (by_i, one)), ("b", (one, by_i)), ("ab", (by_i, by_i))):
+            elements.append(sg.GroupElement(flip + name, tau, [(p, block.lifts.identity) for p in ps]))
+    return sg.validate_group(sg.ProductAlgebra([block, block]), elements)
+
+
+def test_type_kernel_is_normal_only_where_the_type_is_kept(H):
+    # the swap turns type (0, 1) into (1, 0) and conjugates a, which fixes
+    # every ideal of type (0, 1), into b, which moves lines of factor 2
+    action = swapped_quaternion_action(H)
+    table = action.composition
+    assert table[(table[("sid", "a")], action.inverses["sid"])] == "b"
+    assert sg.type_kernel(action, (0, 1)) == ("a", "id")
+    cert = sg.search_free(action, (0, 1))
+    assert (cert.status, cert.witness_name, cert.kernel) == ("negative", "a", ("a", "id"))
+    for ideal in sampled_ideals(action, (0, 1)):
+        assert sg.stabilizer(action, ideal) == ["a", "id"]
+    assert sg.type_kernel(action, (1, 0)) == ("b", "id")
+    assert sg.type_kernel(action, (1, 1)) == ("id",)
+
+
+# Generated structures for the type-kernel properties.  Each factor is
+# M_n(D) for D in Q, Q(i) (lift: conj) or H (inner automorphisms by i, j, k).
+# A factor component is a bit mask: for Q(i) bit 1 is conj; for H the mask
+# t in 0..3 is conjugation by the basis element t (1, i, j, k), and masks
+# compose by xor because the products of i, j, k agree with it up to a
+# central sign.  The group is N, the xor span of one or two drawn component
+# vectors, optionally extended by the swap of two identical first factors,
+# in which case N is also closed under exchanging their components.
+
+_QI = sg.field_algebra([1, 0, 1])
+_H = sg.quaternion_algebra(-1, -1)
+_ALGEBRAS = {"Q": sg.rational_algebra(), "Qi": _QI, "H": _H}
+_LIFTS = {
+    "Q": sg.LiftTable.build(_ALGEBRAS["Q"]),
+    "Qi": sg.LiftTable.build(_QI, [sg.AlgebraAutomorphism(_QI, [[1, 0], [0, -1]], name="conj")]),
+    "H": sg.LiftTable.build(_H),
+}
+_MASKS = {"Q": 1, "Qi": 2, "H": 4}  # number of factor components
+
+
+def _xor_span(vectors):
+    span = {tuple(0 for _ in vectors[0])}
+    for v in vectors:
+        span |= {tuple(a ^ b for a, b in zip(w, v)) for w in span}
+    return sorted(span)
+
+
+def _factor_map(kind, n, mask):
+    alg = _ALGEBRAS[kind]
+    lifts = _LIFTS[kind]
+    if kind == "Qi":
+        return sg.MatrixOverD.identity(alg, n), lifts.get("conj" if mask else "id")
+    return sg.MatrixOverD.scalar(alg, n, alg.basis_element(mask)), lifts.identity
+
+
+@st.composite
+def generated_actions(draw, min_n=1):
+    kinds = draw(st.lists(st.sampled_from(sorted(_ALGEBRAS)), min_size=1, max_size=3))
+    sizes = [draw(st.integers(min_n, 3)) for _ in kinds]
+    swap = len(kinds) >= 2 and draw(st.booleans())
+    if swap:
+        kinds[1], sizes[1] = kinds[0], sizes[0]
+    gens = [tuple(draw(st.integers(0, _MASKS[kind] - 1)) for kind in kinds)
+            for _ in range(1 if swap else 2)]
+    if swap:
+        gens.append((gens[0][1], gens[0][0]) + gens[0][2:])
+    blocks = [sg.Block(_ALGEBRAS[kind], n, _LIFTS[kind]) for kind, n in zip(kinds, sizes)]
+    r = len(blocks)
+    identity_tau = tuple(range(r))
+    swap_tau = (1, 0) + identity_tau[2:]
+    elements = []
+    for flip in ((0, 1) if swap else (0,)):
+        for vec in _xor_span(gens):
+            name = "id" if not flip and not any(vec) else f"{'s' if flip else 'g'}{''.join(map(str, vec))}"
+            maps = [_factor_map(kind, n, m) for kind, n, m in zip(kinds, sizes, vec)]
+            elements.append(sg.GroupElement(name, swap_tau if flip else identity_tau, maps))
+    product = sg.ProductAlgebra(blocks)
+    action = sg.validate_group(product, elements)
+    return kinds, sizes, action
+
+
+@settings(max_examples=40)
+@given(data=st.data())
+def test_type_kernel_is_the_generic_stabilizer(data):
+    _, sizes, action = data.draw(generated_actions())
+    kvec = tuple(data.draw(st.integers(0, n)) for n in sizes)
+    kernel = sg.type_kernel(action, kvec)
+    members = set(kernel)
+    assert action.identity_name in members
+    table = action.composition
+    keep_type = [g.name for g in action.elements if all(kvec[j] == k for j, k in zip(g.tau, kvec))]
+    for a in kernel:
+        for b in kernel:
+            assert table[(a, b)] in members
+        for g in keep_type:
+            assert table[(table[(g, a)], action.inverses[g])] in members
+    stabs = [set(sg.stabilizer(action, ideal)) for ideal in sampled_ideals(action, kvec)]
+    assert all(members <= stab for stab in stabs)
+    assert members in stabs
+    cert = sg.search_free(action, kvec, seed=0, max_tries=50)
+    assert cert.kernel == kernel
+    assert (cert.status == "negative") == (len(kernel) > 1)
+
+
+@settings(max_examples=25)
+@given(data=st.data())
+def test_types_inside_every_grassmannian_have_trivial_kernel(data):
+    # the paper's theorem: with every n_i >= 2 and 0 < k_i < n_i only the
+    # identity fixes every ideal, so some ideal of the type is free
+    kinds, sizes, action = data.draw(generated_actions(min_n=2))
+    kvec = tuple(data.draw(st.integers(1, n - 1)) for n in sizes)
+    assert sg.type_kernel(action, kvec) == (action.identity_name,)
+    factors = tuple((f"A{i}", 1) for i in range(len(kinds)))
+    structure = sg.EndoStructure(product=action.product, action=action, factors=factors,
+                                 base_label="Q", full_label="L", field_table=None)
+    res = sg.subvariety_survey(structure, kvec, seed=0, max_tries=200)
+    assert res["status"] != "negative"
+    for w in res.get("witnesses", []):
+        assert w["degree_over_base"] <= sg.remond_bound(structure.g_total)

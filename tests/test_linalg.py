@@ -223,3 +223,26 @@ def test_try_inverse_row_reduces_a_matrix_once(H, monkeypatch):
     assert len(calls) == 2
     assert sg.try_inverse(m) * m == sg.MatrixOverD.identity(H, 3)
     assert m == sg.MatrixOverD(H, m.entries) and hash(m) == hash(sg.MatrixOverD(H, m.entries))
+
+
+def test_internal_results_skip_the_entry_checks(Qi, H, monkeypatch):
+    a, b = sg.random_invertible(H, 2, seed=1), sg.random_invertible(H, 2, seed=2)
+    m = sg.random_invertible(Qi, 2, seed=3)
+    conj = sg.validate_automorphism(Qi, [[1, 0], [0, -1]])
+
+    def checked(*args):
+        raise AssertionError("an internal result went through the checking constructor")
+
+    monkeypatch.setattr(sg.MatrixOverD, "__init__", checked)
+    results = [a * b, a + b, a - b, -a, a.map_entries(lambda e: e * e), sg.apply_sigma(conj, m)]
+    monkeypatch.undo()
+    for r in results:
+        assert r == sg.MatrixOverD(r.algebra, r.entries)
+    assert (a - b).entries[1][0] == a.entries[1][0] - b.entries[1][0]
+    # the public constructor keeps every check, and apply_sigma checks the algebra
+    with pytest.raises(ValidationError, match="ragged"):
+        sg.MatrixOverD(H, [[H.one(), H.one()], [H.one()]])
+    with pytest.raises(ValidationError, match="same algebra"):
+        sg.MatrixOverD(H, [[H.one(), Qi.one()]])
+    with pytest.raises(ValidationError, match="different algebra"):
+        sg.apply_sigma(sg.LiftTable.build(Qi).identity, a)
