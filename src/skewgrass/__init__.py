@@ -11,7 +11,7 @@ from .algebra import (
     algebra_from_table,
     build_algebra,
     center,
-    center_restriction,
+    center_values,
     field_algebra,
     identity_automorphism,
     quaternion_algebra,
@@ -30,7 +30,6 @@ from .autos import (
     from_pair,
     inner_conjugator,
     is_trivial_on_grassmannian,
-    restrict_to_center,
     validate_matrix_algebra_automorphism,
 )
 from .datasets import DEMO_NAMES, demo_document

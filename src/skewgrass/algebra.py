@@ -409,7 +409,6 @@ class CenterDescription:
             raise ValidationError("center basis must start with the unit")
         # columns of this matrix are the basis coordinate vectors
         self._matrix = [[self.basis[j].coords[i] for j in range(self.dim)] for i in range(algebra.dim)]
-        self._mult = None
 
     def coords_in_center(self, coords):
         """Center coordinates of a coordinate vector, or None if outside."""
@@ -417,37 +416,6 @@ class CenterDescription:
 
     def contains(self, coords) -> bool:
         return self.coords_in_center(coords) is not None
-
-    def mult_table(self):
-        """Center coordinates of z_l * z_m for every basis pair."""
-        if self._mult is None:
-            tbl = []
-            for zl in self.basis:
-                row = []
-                for zm in self.basis:
-                    prod = (zl * zm).coords
-                    cc = self.coords_in_center(prod)
-                    if cc is None:
-                        raise ValidationError("center basis is not closed under multiplication")
-                    row.append(tuple(cc))
-                tbl.append(tuple(row))
-            self._mult = tuple(tbl)
-        return self._mult
-
-    def mul_center_coords(self, a, b):
-        tbl = self.mult_table()
-        out = [_ZERO] * self.dim
-        for l in range(self.dim):
-            if not a[l]:
-                continue
-            for m in range(self.dim):
-                if not b[m]:
-                    continue
-                c = a[l] * b[m]
-                for k, s in enumerate(tbl[l][m]):
-                    if s:
-                        out[k] += c * s
-        return tuple(out)
 
 
 def center(algebra: DivisionAlgebra) -> CenterDescription:
@@ -572,63 +540,34 @@ def validate_automorphism(algebra: DivisionAlgebra, matrix, name: str | None = N
     return theta
 
 
-def verify_center_automorphism(cen: CenterDescription, gamma):
-    """Check a matrix on center coordinates is a field automorphism of F."""
-    cdim = cen.dim
-    gamma = tuple(tuple(to_fraction(c) for c in row) for row in gamma)
-    gmat = [list(r) for r in gamma]
-    cols = [tuple(gamma[i][j] for i in range(cdim)) for j in range(cdim)]
-    if qlinalg.inverse(gmat) is None:
-        raise ValidationError("center restriction is singular")
-    unit_cc = tuple(_ONE if t == 0 else _ZERO for t in range(cdim))
-    if tuple(qlinalg.matvec(gmat, list(unit_cc))) != unit_cc:
-        raise ValidationError("center restriction does not fix the unit")
-    for l in range(cdim):
-        for m in range(cdim):
-            lhs = tuple(qlinalg.matvec(gmat, list(cen.mult_table()[l][m])))
-            rhs = cen.mul_center_coords(cols[l], cols[m])
-            if lhs != rhs:
-                raise ValidationError("center restriction is not multiplicative")
-    return gamma
+def center_values(theta: AlgebraAutomorphism):
+    """Coordinates of theta(z) for z in the center basis of D.
 
-
-def center_restriction(theta: AlgebraAutomorphism, cen: CenterDescription):
-    """Matrix of theta on center coordinates, verified a field automorphism."""
-    cdim = cen.dim
-    cols = []
-    for l in range(cdim):
-        img = theta.apply_coords(cen.basis[l].coords)
-        cc = cen.coords_in_center(img)
-        if cc is None:
-            raise ValidationError(
-                f"automorphism {theta.name or ''} does not map the center into itself "
-                f"(witness basis element {cen.basis[l]!r})".replace("  ", " ")
-            )
-        cols.append(tuple(cc))
-    gamma = tuple(tuple(cols[j][i] for j in range(cdim)) for i in range(cdim))
-    return verify_center_automorphism(cen, gamma)
+    Two automorphisms of D act alike on the center exactly when these agree.
+    """
+    return tuple(theta.apply_coords(z.coords) for z in center(theta.algebra).basis)
 
 
 class LiftTable:
     """Chosen automorphisms of D, one per represented center automorphism.
 
     The identity is always present (inserted if missing) and entries must
-    restrict to pairwise distinct automorphisms of the center, so matching
-    a center automorphism to its lift is unambiguous.  ``composites`` is
-    filled by autos.compose_autos with the composite of each pair of
-    entries, so each is worked out once per table.
+    restrict to pairwise distinct automorphisms of the center.  ``values``
+    holds each entry's center_values, so matching a center action to its
+    lift is a lookup of that tuple.  ``composites`` is filled by
+    autos.compose_autos with the composite of each pair of entries, so each
+    is worked out once per table.
     """
 
-    def __init__(self, algebra: DivisionAlgebra, entries, restrictions):
+    def __init__(self, algebra: DivisionAlgebra, entries, values):
         self.algebra = algebra
         self.entries = tuple(entries)
-        self.restrictions = tuple(restrictions)
+        self.values = tuple(values)
         self.by_name = {e.name: e for e in self.entries}
         self.composites = {}
 
     @classmethod
     def build(cls, algebra: DivisionAlgebra, raw_entries=()) -> "LiftTable":
-        cen = center(algebra)
         validated = []
         for idx, entry in enumerate(raw_entries):
             if isinstance(entry, AlgebraAutomorphism):
@@ -658,16 +597,16 @@ class LiftTable:
         names = [e.name for e in entries]
         if len(set(names)) != len(names):
             raise ValidationError(f"duplicate lift names: {sorted(names)}")
-        restrictions = []
+        values = []
         for e in entries:
-            gamma = center_restriction(e, cen)
-            if gamma in restrictions:
-                other = entries[restrictions.index(gamma)]
+            vals = center_values(e)
+            if vals in values:
+                other = entries[values.index(vals)]
                 raise ValidationError(
                     f"lifts {other.name!r} and {e.name!r} restrict to the same center automorphism"
                 )
-            restrictions.append(gamma)
-        return cls(algebra, entries, restrictions)
+            values.append(vals)
+        return cls(algebra, entries, values)
 
     @property
     def identity(self) -> AlgebraAutomorphism:
@@ -685,9 +624,10 @@ class LiftTable:
                 return e
         return None
 
-    def for_center_restriction(self, gamma) -> AlgebraAutomorphism:
-        for e, g in zip(self.entries, self.restrictions):
-            if g == gamma:
+    def for_center_values(self, vals) -> AlgebraAutomorphism:
+        """The entry whose center_values are ``vals``."""
+        for e, v in zip(self.entries, self.values):
+            if v == vals:
                 return e
         raise IncompleteLiftTableError(
             f"no lift in the table restricts to the required center automorphism of {self.algebra.label}"

@@ -26,8 +26,7 @@ from .algebra import (
     DivisionAlgebra,
     LiftTable,
     center,
-    center_restriction,
-    verify_center_automorphism,
+    center_values,
 )
 from .errors import ValidationError
 from .linalg import (
@@ -197,39 +196,6 @@ def validate_matrix_algebra_automorphism(block: Block, linear_map) -> MatrixAlge
     return f
 
 
-def restrict_to_center(f: MatrixAlgebraAutomorphism):
-    """Action of f on the center F * identity, as a matrix on center coordinates."""
-    block = f.block
-    cen = center(block.algebra)
-    cols = []
-    for l in range(cen.dim):
-        z = cen.basis[l]
-        img = f.apply(MatrixOverD.scalar(block.algebra, block.n, z))
-        diag = img.entries[0][0]
-        for i in range(block.n):
-            for j in range(block.n):
-                e = img.entries[i][j]
-                if i == j:
-                    if e != diag:
-                        raise ValidationError(
-                            f"automorphism of {block.label} does not preserve the center "
-                            f"(image of a central scalar is not scalar)"
-                        )
-                elif not e.is_zero():
-                    raise ValidationError(
-                        f"automorphism of {block.label} does not preserve the center "
-                        f"(image of a central scalar has off-diagonal entries)"
-                    )
-        cc = cen.coords_in_center(diag.coords)
-        if cc is None:
-            raise ValidationError(
-                f"automorphism of {block.label} maps a central scalar outside the center"
-            )
-        cols.append(tuple(cc))
-    gamma = tuple(tuple(cols[j][i] for j in range(cen.dim)) for i in range(cen.dim))
-    return verify_center_automorphism(cen, gamma)
-
-
 def _intertwining_unit(alg: DivisionAlgebra, lefts, rights) -> AlgebraElement:
     """Unit u of D with theta(x) u = u rho(x), given theta(b_v) and rho(b_v).
 
@@ -329,6 +295,7 @@ def inner_conjugator(f: MatrixAlgebraAutomorphism, sigma: AlgebraAutomorphism) -
     basis = alg.basis_elements()
     scalars = [f.apply_flat(block.flatten(MatrixOverD.scalar(alg, n, sigma_inv.apply(b))))
                for b in basis]
+    # h(z I) = z I on the center; this also rejects a raw f with some f(z I) not scalar
     for z in center(alg).basis:
         image = tuple(sum(c * v[q] for c, v in zip(z.coords, scalars)) for q in range(block.dim_q))
         if image != block.flatten(MatrixOverD.scalar(alg, n, z)):
@@ -352,12 +319,16 @@ def inner_conjugator(f: MatrixAlgebraAutomorphism, sigma: AlgebraAutomorphism) -
 def decompose(f: MatrixAlgebraAutomorphism):
     """Split f into (P, sigma) with f(M) = P sigma(M) P^{-1}, sigma from the lifts.
 
-    The center action pins down sigma, and what is left is inner.  f comes
-    from outside and need not be multiplicative, so the result is verified
-    exactly on every coordinate basis matrix before it is returned.
+    The center action pins down sigma: it is the lift whose center_values
+    are the (0, 0) entries of f(z I) for the center basis z.  What is left
+    is inner; inner_conjugator rejects f if some f(z I) is not that scalar.
+    f comes from outside and need not be multiplicative, so the result is
+    verified exactly on every coordinate basis matrix before it is returned.
     """
     block = f.block
-    sigma = block.lifts.for_center_restriction(restrict_to_center(f))
+    alg, n = block.algebra, block.n
+    sigma = block.lifts.for_center_values(tuple(
+        f.apply(MatrixOverD.scalar(alg, n, z)).entries[0][0].coords for z in center(alg).basis))
     p = inner_conjugator(f, sigma)
     if from_pair(block, p, sigma).linear_map != f.linear_map:
         raise ValidationError(
@@ -382,7 +353,7 @@ def _composite_lift(block: Block, s1: AlgebraAutomorphism, s2: AlgebraAutomorphi
     if found is None:
         alg = block.algebra
         s_comp = s1.compose(s2)
-        sigma = lifts.for_center_restriction(center_restriction(s_comp, center(alg)))
+        sigma = lifts.for_center_values(center_values(s_comp))
         basis = alg.basis_elements()
         u = _intertwining_unit(alg, [s_comp.apply(b) for b in basis], [sigma.apply(b) for b in basis])
         found = lifts.composites[key] = (s_comp, sigma, u)

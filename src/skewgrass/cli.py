@@ -14,7 +14,6 @@ import os
 import sys
 
 from . import datasets, frontend, schema
-from .autos import _central_normal_form
 from .errors import SkewgrassError, ValidationError
 
 
@@ -57,13 +56,13 @@ def _cmd_decompose(args) -> dict:
     structure, label = _load_structure(args.file)
     g = structure.action.element(args.element)
     factors = []
-    for i, (p, sigma) in enumerate(g.maps):
-        # the stored pair is the decomposition; only P's central factor is normalized
+    for i, (_, sigma) in enumerate(g.maps):
+        # the stored pair is the decomposition; its action key holds P's central normal form
         factors.append({
             "factor": i + 1,
             "sigma": sigma.name,
             "sigma_matrix": schema.ser_sigma(sigma),
-            "P": schema.ser_matrix(structure.product.blocks[i].unflatten(_central_normal_form(p))),
+            "P": schema.ser_matrix(structure.product.blocks[i].unflatten(g.keys[i][1])),
             "reconstructed": True,
         })
     return {"command": "decompose", "dataset": label, "element": g.name, "factors": factors}

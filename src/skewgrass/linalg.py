@@ -293,17 +293,16 @@ def subspace_sum(u: RightSubspace, w: RightSubspace) -> RightSubspace:
     return column_echelon(u.basis.hstack(w.basis))
 
 
-def right_kernel(matrix: MatrixOverD):
-    """Basis columns of {v in D^cols : matrix * v = 0}.
+def _row_reduce(rows) -> list[int]:
+    """Reduced row echelon form over D, in place; returns the pivot columns.
 
-    Row operations are left multiplications, which preserve this kernel, so
-    here scalars multiply rows on the left (the mirror image of the column
-    echelon convention).
+    Gauss-Jordan on rows: each pivot row is normalized by multiplying it on
+    the left by the pivot's inverse, and every other row is cleared in the
+    pivot column.  Left multiplications keep the right kernel of the rows.
     """
-    alg = matrix.algebra
-    rows = [list(r) for r in matrix.entries]
-    nrows, ncols = matrix.rows, matrix.cols
-    pivot_cols: list[int] = []
+    nrows = len(rows)
+    ncols = len(rows[0]) if rows else 0
+    pivots: list[int] = []
     r = 0
     for c in range(ncols):
         if r == nrows:
@@ -318,8 +317,22 @@ def right_kernel(matrix: MatrixOverD):
             if i != r and not rows[i][c].is_zero():
                 f = rows[i][c]
                 rows[i] = [rows[i][k] - f * rows[r][k] for k in range(ncols)]
-        pivot_cols.append(c)
+        pivots.append(c)
         r += 1
+    return pivots
+
+
+def right_kernel(matrix: MatrixOverD):
+    """Basis columns of {v in D^cols : matrix * v = 0}.
+
+    Row operations are left multiplications, which preserve this kernel, so
+    here scalars multiply rows on the left (the mirror image of the column
+    echelon convention).
+    """
+    alg = matrix.algebra
+    rows = [list(r) for r in matrix.entries]
+    ncols = matrix.cols
+    pivot_cols = _row_reduce(rows)
     zero, one = alg.zero(), alg.one()
     basis = []
     for free in range(ncols):
@@ -380,19 +393,8 @@ def _row_reduce_inverse(matrix: MatrixOverD) -> MatrixOverD | None:
     n = matrix.rows
     ident = MatrixOverD.identity(alg, n)
     aug = [list(matrix.entries[i]) + list(ident.entries[i]) for i in range(n)]
-    r = 0
-    for c in range(n):
-        pr = next((i for i in range(r, n) if not aug[i][c].is_zero()), None)
-        if pr is None:
-            return None
-        aug[r], aug[pr] = aug[pr], aug[r]
-        inv = aug[r][c].inv()
-        aug[r] = [inv * e for e in aug[r]]
-        for i in range(n):
-            if i != r and not aug[i][c].is_zero():
-                f = aug[i][c]
-                aug[i] = [aug[i][k] - f * aug[r][k] for k in range(2 * n)]
-        r += 1
+    if _row_reduce(aug) != list(range(n)):
+        return None
     out = MatrixOverD(alg, [row[n:] for row in aug])
     if not (out * matrix).is_identity() or not (matrix * out).is_identity():
         return None

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import skewgrass as sg
+from conftest import lifted_algebras
 from skewgrass import autos, qlinalg
 from skewgrass.errors import ValidationError
 
@@ -64,14 +65,30 @@ def test_singular_p_rejected(Qi):
         sg.from_pair(block, p, block.lifts.identity)
 
 
-def test_restrict_to_center_sees_the_lift(Qi):
+def test_decompose_picks_the_lift_by_center_values(Qi):
     block = sg.Block(Qi, 2, conj_lifts(Qi))
-    conj = block.lifts.get("conj")
-    f = sg.from_pair(block, sg.random_invertible(Qi, 2, seed=8), conj)
-    gamma = sg.restrict_to_center(f)
-    assert gamma == ((F(1), F(0)), (F(0), F(-1)))
-    g = sg.from_pair(block, sg.random_invertible(Qi, 2, seed=9), block.lifts.identity)
-    assert sg.restrict_to_center(g) == ((F(1), F(0)), (F(0), F(1)))
+    expected = {"conj": ((F(1), F(0)), (F(0), F(-1))), "id": ((F(1), F(0)), (F(0), F(1)))}
+    for seed, name in ((8, "conj"), (9, "id")):
+        sigma = block.lifts.get(name)
+        f = sg.from_pair(block, sg.random_invertible(Qi, 2, seed=seed), sigma)
+        values = tuple(f.apply(sg.MatrixOverD.scalar(Qi, 2, z)).entries[0][0].coords
+                       for z in sg.center(Qi).basis)
+        assert values == sg.center_values(sigma) == expected[name]
+        assert sg.decompose(sg.MatrixAlgebraAutomorphism(block, f.linear_map))[1] is sigma
+
+
+def test_decompose_rejects_a_map_that_moves_the_center(Q):
+    # coordinates of M_2(Q) are E11, E12, E21, E22; columns are images
+    block = sg.Block(Q, 2)
+    swap = [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+    # f(I) = E12 + E22 has (0, 0) entry 0, the center value of no lift
+    with pytest.raises(sg.IncompleteLiftTableError):
+        sg.decompose(sg.MatrixAlgebraAutomorphism(block, [[F(c) for c in r] for r in swap]))
+    shear = [[1, 0, 0, 0], [1, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+    # f(I) = I + E12 has the identity's center value but is not scalar
+    with pytest.raises(ValidationError, match="center") as exc:
+        sg.decompose(sg.MatrixAlgebraAutomorphism(block, [[F(c) for c in r] for r in shear]))
+    assert not isinstance(exc.value, sg.IncompleteLiftTableError)
 
 
 def test_inner_conjugator_antidiagonal(Qi):
@@ -271,6 +288,18 @@ def test_composites_are_kept_per_table():
         for key, found in b1.lifts.composites.items():
             assert all(x is not y for x, y in zip(found, b2.lifts.composites[key]))
             assert any(found[1] is e for e in b1.lifts.entries)
+
+
+@pytest.mark.parametrize("alg, lifts", lifted_algebras(), ids=lambda x: getattr(x, "label", ""))
+@settings(max_examples=10)
+@given(data=st.data())
+def test_composite_lift_has_the_center_values_of_the_composite(alg, lifts, data):
+    block = sg.Block(alg, 1, lifts)
+    s1 = data.draw(st.sampled_from(lifts.entries), label="s1")
+    s2 = data.draw(st.sampled_from(lifts.entries), label="s2")
+    s_comp, sigma, _ = autos._composite_lift(block, s1, s2)
+    assert any(sigma is e for e in lifts.entries)
+    assert sg.center_values(sigma) == sg.center_values(s1.compose(s2)) == sg.center_values(s_comp)
 
 
 def _key_blocks():
