@@ -145,10 +145,19 @@ def compose_elements(product: ProductAlgebra, g1: GroupElement, g2: GroupElement
 def validate_group(product: ProductAlgebra, elements) -> GaloisAction:
     """Check permutation compatibility, closure, identity and inverses.
 
-    Every pairwise composition is computed as pairs and matched against the
-    listed elements by their action keys, which is exact because every
-    sigma is checked to come from its factor's lift table; the resulting
-    composition table is stored on the returned GaloisAction.
+    Closure is checked from a generating set T: walking the listed elements
+    in order, each one not yet reached from the identity joins T.  Only the
+    composites a o t, for a non-identity element a and t in T, are computed,
+    each as pairs checked by compose_autos, and matched against the listed
+    elements by their action keys; that is exact because every sigma is
+    checked to come from its factor's lift table.  S T in S and S in <T>
+    give S S in S, so a set that is not closed fails on some a o t.
+
+    The breadth-first pass that reaches every element records a word
+    x = y o t for each element x outside T, with y reached earlier, and the
+    rest of the table follows by associativity: s o x = (s o y) o t.
+    Products with the identity are read off.  The composition table, over
+    all pairs in row-major order, is stored on the returned GaloisAction.
     """
     elements = tuple(elements)
     names = [g.name for g in elements]
@@ -186,17 +195,42 @@ def validate_group(product: ProductAlgebra, elements) -> GaloisAction:
     if not identity_names:
         raise ValidationError("the identity element is missing from the group")
     identity_name = identity_names[0]
-    table = {}
-    for g1 in elements:
-        for g2 in elements:
-            comp = compose_elements(product, g1, g2, inverses[g1.name], inverses[g2.name])
-            match = signatures.get(comp.signature())
-            if match is None:
-                raise ValidationError(
-                    f"group is not closed: {g1.name!r} composed with {g2.name!r} "
-                    f"is not among the listed elements"
-                )
-            table[(g1.name, g2.name)] = match
+    by_name = {g.name: g for g in elements}
+    table = {(s, identity_name): s for s in names}
+    gens = []
+    reached = [identity_name]  # breadth-first order
+    words = {identity_name: None}  # None for the identity and the generators
+    composed = {}  # how many generators each element has been composed with
+    for x in elements:
+        if x.name in words:
+            continue
+        gens.append(x)
+        table[(identity_name, x.name)] = x.name
+        words[x.name] = None
+        reached.append(x.name)
+        k = 1
+        while k < len(reached):
+            a = by_name[reached[k]]
+            for t in gens[composed.get(a.name, 0):]:
+                comp = compose_elements(product, a, t, inverses[a.name], inverses[t.name])
+                match = signatures.get(comp.signature())
+                if match is None:
+                    raise ValidationError(
+                        f"group is not closed: {a.name!r} composed with {t.name!r} "
+                        f"is not among the listed elements"
+                    )
+                table[(a.name, t.name)] = match
+                if match not in words:
+                    words[match] = (a.name, t.name)
+                    reached.append(match)
+            composed[a.name] = len(gens)
+            k += 1
+    for x in reached:
+        if words[x] is not None:
+            y, t = words[x]
+            for s in names:
+                table[(s, x)] = table[(table[(s, y)], t)]
+    table = {(a, b): table[(a, b)] for a in names for b in names}
     inverses = {}
     for g in elements:
         inv = next((h.name for h in elements
@@ -252,11 +286,15 @@ def acts_trivially_on_type(action: GaloisAction, g: GroupElement, kvec) -> bool:
     have different dimensions (zero versus full); a fixed factor defers to
     the exact one-factor triviality test.
     """
-    kvec = action.product.check_type(kvec)
-    for i, block in enumerate(action.product.blocks):
+    return _fixes_type(action.product, g, action.product.check_type(kvec))
+
+
+def _fixes_type(product: ProductAlgebra, g: GroupElement, kvec) -> bool:
+    """acts_trivially_on_type for a type vector already checked against the product."""
+    for i, block in enumerate(product.blocks):
         j = g.tau[i]
         if j != i:
-            target = action.product.blocks[j]
+            target = product.blocks[j]
             single_i = kvec[i] in (0, block.n)
             single_j = kvec[j] in (0, target.n)
             if not (single_i and single_j):
@@ -277,7 +315,7 @@ def type_kernel(action: GaloisAction, kvec) -> tuple[str, ...]:
     is checked to be a subgroup, normal in the elements that keep the type.
     """
     kvec = action.product.check_type(kvec)
-    names = tuple(sorted(g.name for g in action.elements if acts_trivially_on_type(action, g, kvec)))
+    names = tuple(sorted(g.name for g in action.elements if _fixes_type(action.product, g, kvec)))
     kernel, comp = set(names), action.composition
     keep_type = [g.name for g in action.elements if all(kvec[j] == k for j, k in zip(g.tau, kvec))]
     if not _is_subgroup(action, names) or any(

@@ -5,7 +5,7 @@ from __future__ import annotations
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import skewgrass as sg
@@ -139,6 +139,37 @@ def test_validate_group_builds_no_dense_map(H, monkeypatch):
     assert action.composition[("i", "j")] == "k" and action.composition[("j", "i")] == "k"
     assert action.composition[("i", "i")] == "id"
     assert action.inverses == {"id": "id", "i": "i", "j": "j", "k": "k"}
+
+
+def test_validate_group_composes_only_with_generators(H, monkeypatch):
+    calls = []
+    compose = groups.compose_elements
+
+    def counting(*args):
+        calls.append(args[1].name + "*" + args[2].name)
+        return compose(*args)
+
+    monkeypatch.setattr(groups, "compose_elements", counting)
+    action = quaternion_units_action(H)
+    # the generators are i and j (k = i j is reached); the identity is never composed
+    assert sorted(calls) == sorted(f"{a}*{t}" for a in ("i", "j", "k") for t in ("i", "j"))
+    assert len(calls) <= (action.order - 1) * 2
+
+
+def test_type_kernel_checks_the_type_once(Qi, Q, monkeypatch):
+    _, action = two_block_action(Qi, Q)
+    calls = []
+    check = sg.ProductAlgebra.check_type
+
+    def counting(self, kvec):
+        calls.append(kvec)
+        return check(self, kvec)
+
+    monkeypatch.setattr(sg.ProductAlgebra, "check_type", counting)
+    assert sg.type_kernel(action, (1, 1)) == ("id",)
+    assert len(calls) == 1
+    assert sg.acts_trivially_on_type(action, action.element("c"), (0, 0))
+    assert len(calls) == 2
 
 
 def test_tau_needs_matching_factor_descriptions(Qi, Q):
@@ -442,3 +473,44 @@ def test_types_inside_every_grassmannian_have_trivial_kernel(data):
     assert res["status"] != "negative"
     for w in res.get("witnesses", []):
         assert w["degree_over_base"] <= sg.remond_bound(structure.g_total)
+
+
+def reference_group_table(product, elements):
+    """Composition table and inverses from every pair: the |G|^2 closure check.
+
+    Each pair is composed with groups.compose_elements and matched by
+    signature; an unmatched composite is recorded as None.
+    """
+    pinvs = {g.name: [sg.try_inverse(p) for p, _ in g.maps] for g in elements}
+    signatures = {g.signature(): g.name for g in elements}
+    table = {}
+    for g1 in elements:
+        for g2 in elements:
+            comp = groups.compose_elements(product, g1, g2, pinvs[g1.name], pinvs[g2.name])
+            table[(g1.name, g2.name)] = signatures.get(comp.signature())
+    identity = next(g.name for g in elements if g.is_identity_action())
+    inverses = {a.name: next(b.name for b in elements
+                             if table[(a.name, b.name)] == identity == table[(b.name, a.name)])
+                for a in elements}
+    return table, inverses
+
+
+@settings(max_examples=30)
+@given(data=st.data())
+def test_generator_closure_matches_all_pairs(data):
+    _, _, action = data.draw(generated_actions())
+    table, inverses = reference_group_table(action.product, action.elements)
+    assert list(action.composition.items()) == list(table.items())
+    assert action.inverses == inverses
+
+
+@settings(max_examples=20)
+@given(data=st.data())
+def test_a_group_missing_one_element_is_not_closed(data):
+    # |G| - 1 elements never form a subgroup once |G| > 2 (Lagrange)
+    _, _, action = data.draw(generated_actions())
+    assume(action.order > 2)
+    for drop in action.nontrivial():
+        rest = [g for g in action.elements if g is not drop]
+        with pytest.raises(ValidationError, match="not closed"):
+            sg.validate_group(action.product, rest)
