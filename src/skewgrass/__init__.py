@@ -30,7 +30,6 @@ from .autos import (
     from_pair,
     inner_conjugator,
     is_trivial_on_grassmannian,
-    validate_matrix_algebra_automorphism,
 )
 from .datasets import DEMO_NAMES, demo_document
 from .errors import (

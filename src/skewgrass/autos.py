@@ -17,8 +17,6 @@ central factor.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from . import qlinalg
 from .algebra import (
     AlgebraAutomorphism,
@@ -35,8 +33,6 @@ from .linalg import (
     apply_matrix,
     apply_sigma,
     column_echelon,
-    random_subspace,
-    subseed,
     try_inverse,
 )
 
@@ -68,15 +64,6 @@ class Block:
         s, rem = divmod(q, self.n * d)
         t, u = divmod(rem, d)
         return s, t, u
-
-    def basis_matrix(self, q: int) -> MatrixOverD:
-        s, t, u = self.basis_position(q)
-        return MatrixOverD.unit_entry(self.algebra, self.n, self.n, s, t,
-                                      self.algebra.basis_element(u))
-
-    def basis_label(self, q: int) -> str:
-        s, t, u = self.basis_position(q)
-        return f"E[{s + 1},{t + 1}]*{self.algebra.basis_labels[u]}"
 
     def flatten(self, m: MatrixOverD):
         if m.rows != self.n or m.cols != self.n or m.algebra != self.algebra:
@@ -111,30 +98,26 @@ class Block:
 
 
 class MatrixAlgebraAutomorphism:
-    """An automorphism of M_n(D) held as its rational coordinate matrix."""
+    """A raw linear map of M_n(D) as its rational coordinate matrix.
+
+    Nothing but its shape is checked here; decompose proves it is an
+    automorphism by rebuilding it from its (P, sigma) pair.
+    """
 
     __slots__ = ("block", "linear_map")
 
     def __init__(self, block: Block, linear_map):
         self.block = block
-        self.linear_map = tuple(tuple(c for c in row) for row in linear_map)
+        self.linear_map = tuple(tuple(row) for row in linear_map)
         dq = block.dim_q
         if len(self.linear_map) != dq or any(len(r) != dq for r in self.linear_map):
             raise ValidationError(f"linear map must be {dq}x{dq} for {block.label}")
 
     def apply_flat(self, vec):
-        return tuple(qlinalg.matvec([list(r) for r in self.linear_map], list(vec)))
+        return tuple(qlinalg.matvec(self.linear_map, vec))
 
     def apply(self, m: MatrixOverD) -> MatrixOverD:
         return self.block.unflatten(self.apply_flat(self.block.flatten(m)))
-
-    def __eq__(self, other):
-        if not isinstance(other, MatrixAlgebraAutomorphism):
-            return NotImplemented
-        return self.block == other.block and self.linear_map == other.linear_map
-
-    def __hash__(self):
-        return hash(self.linear_map)
 
     def __repr__(self):
         return f"MatrixAlgebraAutomorphism({self.block.label})"
@@ -169,31 +152,6 @@ def from_pair(block: Block, p: MatrixOverD, sigma: AlgebraAutomorphism,
         cols.append(block.flatten(_conjugation_image(p, pinv, s, t, x)))
     rows = tuple(tuple(cols[q][r] for q in range(dq)) for r in range(dq))
     return MatrixAlgebraAutomorphism(block, rows)
-
-
-def validate_matrix_algebra_automorphism(block: Block, linear_map) -> MatrixAlgebraAutomorphism:
-    """Full check: bijective, unital, multiplicative on all basis pairs."""
-    rows = [[Fraction(c) if isinstance(c, int) else c for c in row] for row in linear_map]
-    f = MatrixAlgebraAutomorphism(block, rows)
-    dq = block.dim_q
-    if qlinalg.inverse([list(r) for r in f.linear_map]) is None:
-        raise ValidationError(f"linear map on {block.label} is not invertible")
-    ident = MatrixOverD.identity(block.algebra, block.n)
-    if f.apply_flat(block.flatten(ident)) != block.flatten(ident):
-        raise ValidationError(f"linear map on {block.label} does not fix the identity matrix")
-    images = [f.block.unflatten(tuple(f.linear_map[r][q] for r in range(dq))) for q in range(dq)]
-    for p_idx in range(dq):
-        bp = block.basis_matrix(p_idx)
-        for q_idx in range(dq):
-            bq = block.basis_matrix(q_idx)
-            lhs = f.apply_flat(block.flatten(bp * bq))
-            rhs = block.flatten(images[p_idx] * images[q_idx])
-            if lhs != rhs:
-                raise ValidationError(
-                    f"linear map on {block.label} is not multiplicative on "
-                    f"({block.basis_label(p_idx)}, {block.basis_label(q_idx)})"
-                )
-    return f
 
 
 def _intertwining_unit(alg: DivisionAlgebra, lefts, rights) -> AlgebraElement:
@@ -324,6 +282,8 @@ def decompose(f: MatrixAlgebraAutomorphism):
     is inner; inner_conjugator rejects f if some f(z I) is not that scalar.
     f comes from outside and need not be multiplicative, so the result is
     verified exactly on every coordinate basis matrix before it is returned.
+    That check proves f = from_pair(P, sigma), which is an automorphism, so
+    it is the only check a raw map needs.
     """
     block = f.block
     alg, n = block.algebra, block.n
@@ -409,14 +369,16 @@ def act_on_subspace(p: MatrixOverD, sigma: AlgebraAutomorphism, v: RightSubspace
 
 
 def probe_subspaces(algebra: DivisionAlgebra, n: int, k: int):
-    """Deterministic k-subspaces that separate nontrivial Grassmannian actions.
+    """Deterministic k-subspaces of D^n, for 1 <= k <= n-1, that see every mover.
 
-    Standard coordinate subspaces detect a non-homothety P; the spans of
-    e_i + e_j x for basis elements x detect a noncentral homothety or a
-    nontrivial sigma.
+    First the coordinate k-subspaces, then span(e_i + e_j x, e_F) for
+    i != j, x a basis element of D and e_F the first k - 1 unit vectors
+    other than e_i and e_j.  find_moved_subspace says why they suffice.
     """
     from itertools import combinations
 
+    if not 1 <= k <= n - 1:
+        raise ValidationError(f"probe subspaces need 1 <= k <= {n - 1}, got k = {k}")
     zero, one = algebra.zero(), algebra.one()
 
     def std(r):
@@ -436,20 +398,24 @@ def probe_subspaces(algebra: DivisionAlgebra, n: int, k: int):
                 yield column_echelon(MatrixOverD.from_columns(algebra, cols, n))
 
 
-def find_moved_subspace(p: MatrixOverD, sigma: AlgebraAutomorphism, k: int,
-                        seed: int = 0, samples: int = 100) -> RightSubspace | None:
-    """A k-subspace moved by (P, sigma), or None if none is found.
+def find_moved_subspace(p: MatrixOverD, sigma: AlgebraAutomorphism, k: int) -> RightSubspace | None:
+    """A k-subspace moved by (P, sigma), or None exactly when the action is trivial.
 
-    Tries the deterministic probe set first, then seeded random subspaces.
-    For a pair that is nontrivial on the Grassmannian the probe set alone
-    is expected to exhibit a mover.
+    For k = 0 or k = n the Grassmannian is one point and nothing moves.
+    Otherwise the first probe_subspaces member that moves is returned.  For
+    sigma from a lift table the probes see every mover.  sigma maps each
+    e_r to itself, so fixing every coordinate k-subspace means P fixes
+    them, hence every coordinate line (their intersection, as k < n):
+    P = diag(lambda_r).  Fixing span(e_i + e_j x, e_F) then forces
+    lambda_j sigma(x) = x lambda_i on a basis, so for all x by linearity;
+    x = 1 gives lambda_i = lambda_j, so P = lambda I and sigma is
+    conjugation by lambda^{-1}.  Being inner, that sigma has the identity's
+    center values, and lift table entries have distinct ones, so sigma = id
+    and lambda is central: the action is trivial.
     """
     n = p.rows
-    for v in probe_subspaces(p.algebra, n, k):
-        if act_on_subspace(p, sigma, v) != v:
-            return v
-    for t in range(samples):
-        v = random_subspace(p.algebra, n, k, subseed(seed, 0xF1, t))
-        if act_on_subspace(p, sigma, v) != v:
-            return v
-    return None
+    if not 0 <= k <= n:
+        raise ValidationError(f"subspace dimension {k} out of range for ambient dimension {n}")
+    if k in (0, n):
+        return None
+    return next((v for v in probe_subspaces(p.algebra, n, k) if act_on_subspace(p, sigma, v) != v), None)

@@ -16,7 +16,7 @@ from fractions import Fraction
 from . import datasets, schema
 from .algebra import center
 from .errors import ValidationError
-from .groups import GaloisAction, ProductAlgebra, search_free, stabilizer, validate_group
+from .groups import GaloisAction, ProductAlgebra, _is_subgroup, search_free, stabilizer, validate_group
 from .ideals import ProductIdeal, ideal_type
 
 
@@ -103,10 +103,8 @@ def _validate_field_table(action: GaloisAction, table):
             raise ValidationError(f"field table key {key} repeats an element")
         if action.identity_name not in group:
             raise ValidationError(f"field table key {key} is not a subgroup: missing the identity")
-        for a in group:
-            for b in group:
-                if action.composition[(a, b)] not in group:
-                    raise ValidationError(f"field table key {key} is not closed under composition")
+        if not _is_subgroup(action, group):
+            raise ValidationError(f"field table key {key} is not closed under composition")
         out[key] = label
     singleton = (action.identity_name,)
     if singleton not in out:

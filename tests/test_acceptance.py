@@ -160,15 +160,17 @@ def test_criterion_3_moved_subspaces():
         for idx, (p, sigma, n) in enumerate(nontrivial):
             for k in range(1, n):
                 assert not sg.is_trivial_on_grassmannian(p, sigma, k)
-                v = sg.find_moved_subspace(p, sigma, k, seed=sg.subseed(30, idx, k))
+                v = sg.find_moved_subspace(p, sigma, k)
                 assert v is not None
                 assert sg.act_on_subspace(p, sigma, v) != v
         for idx, (p, sigma, n) in enumerate(trivial):
             for k in range(1, n):
                 assert sg.is_trivial_on_grassmannian(p, sigma, k)
-                # probes plus 100 seeded random subspaces, none may move
-                assert sg.find_moved_subspace(p, sigma, k, seed=sg.subseed(31, idx, k),
-                                              samples=100) is None
+                # neither the probes nor 100 seeded random subspaces may move
+                assert sg.find_moved_subspace(p, sigma, k) is None
+                for t in range(100):
+                    v = sg.random_subspace(p.algebra, n, k, sg.subseed(31, idx, k, t))
+                    assert sg.act_on_subspace(p, sigma, v) == v
 
 
 # -- 4: free-ideal search ------------------------------------------------------

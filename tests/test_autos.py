@@ -22,7 +22,8 @@ def test_block_indexing_roundtrip(Qi):
     block = sg.Block(Qi, 2, conj_lifts(Qi))
     assert block.dim_q == 8
     for q in range(block.dim_q):
-        m = block.basis_matrix(q)
+        s, t, u = block.basis_position(q)
+        m = sg.MatrixOverD.unit_entry(Qi, 2, 2, s, t, Qi.basis_element(u))
         flat = block.flatten(m)
         assert flat.count(F(1)) == 1 and flat[q] == F(1)
         assert block.unflatten(flat) == m
@@ -36,26 +37,34 @@ def test_entrywise_extension_validates(Qi):
     block = sg.Block(Qi, 2, conj_lifts(Qi))
     eye = sg.MatrixOverD.identity(Qi, 2)
     f = sg.from_pair(block, eye, block.lifts.get("conj"))
-    sg.validate_matrix_algebra_automorphism(block, f.linear_map)
+    p, sigma = sg.decompose(sg.MatrixAlgebraAutomorphism(block, f.linear_map))
+    assert sigma is block.lifts.get("conj")
+    assert sg.from_pair(block, p, sigma).linear_map == f.linear_map
     assert f.linear_map != identity_map(block)
     assert sg.from_pair(block, eye, block.lifts.identity).linear_map == identity_map(block)
 
 
 def test_conjugation_automorphism_validates(H):
     block = sg.Block(H, 2)
-    p = sg.random_invertible(H, 2, seed=3)
-    f = sg.from_pair(block, p, block.lifts.identity)
-    sg.validate_matrix_algebra_automorphism(block, f.linear_map)
+    p0 = sg.random_invertible(H, 2, seed=3)
+    f = sg.from_pair(block, p0, block.lifts.identity)
+    p, sigma = sg.decompose(sg.MatrixAlgebraAutomorphism(block, f.linear_map))
+    assert sigma is block.lifts.identity
+    assert sg.from_pair(block, p, sigma).linear_map == f.linear_map
 
 
 def test_non_multiplicative_map_rejected(Qi):
     block = sg.Block(Qi, 2, conj_lifts(Qi))
+    # f = identity with f(E12) = 2 E12: unital, with the identity's center
+    # values, a scalar f(z I) and the identity frame, so only the rebuilt
+    # map tells it apart (f(E12) f(E21) = 2 E11 but f(E11) = E11)
+    e12 = next(q for q in range(block.dim_q) if block.basis_position(q) == (0, 1, 0))
     doubled = tuple(
-        tuple(F(2) * c if r == 0 else c for c in row)
+        tuple(F(2) * c if r == q == e12 else c for q, c in enumerate(row))
         for r, row in enumerate(identity_map(block))
     )
-    with pytest.raises(ValidationError):
-        sg.validate_matrix_algebra_automorphism(block, doubled)
+    with pytest.raises(ValidationError, match="reconstruct"):
+        sg.decompose(sg.MatrixAlgebraAutomorphism(block, doubled))
 
 
 def test_singular_p_rejected(Qi):
@@ -377,7 +386,7 @@ def test_moved_subspace_none_for_trivial_pairs(Qi):
     block = sg.Block(Qi, 2, conj_lifts(Qi))
     lam = Qi.one() + Qi.basis_element(1)
     p = sg.MatrixOverD.scalar(Qi, 2, lam)
-    assert sg.find_moved_subspace(p, block.lifts.identity, 1, samples=10) is None
+    assert sg.find_moved_subspace(p, block.lifts.identity, 1) is None
 
 
 def test_probe_subspaces_cover_standard_and_mixed(Qi):
@@ -389,3 +398,33 @@ def test_probe_subspaces_cover_standard_and_mixed(Qi):
     probes3 = list(probe_subspaces(Qi, 3, 2))
     assert {v.dim for v in probes3} == {2}
     assert {v.ambient_dim for v in probes3} == {3}
+    # only 1 <= k <= n - 1: the Grassmannians for k = 0 and k = n are points
+    for k in (-1, 0, 3, 4):
+        with pytest.raises(ValidationError, match="probe subspaces"):
+            list(probe_subspaces(Qi, 3, k))
+
+
+@pytest.mark.parametrize("alg, lifts", lifted_algebras(), ids=lambda x: getattr(x, "label", ""))
+@settings(max_examples=8)
+@given(data=st.data())
+def test_find_moved_subspace_is_none_exactly_on_trivial_pairs(alg, lifts, data):
+    n = data.draw(st.sampled_from([2, 3]), label="n")
+    if data.draw(st.booleans(), label="central"):
+        cen = sg.center(alg)
+        zc = data.draw(st.lists(st.integers(-2, 2), min_size=cen.dim, max_size=cen.dim)
+                       .filter(any), label="z")
+        p = sg.MatrixOverD.scalar(alg, n, sum((b.scale(F(c)) for b, c in zip(cen.basis, zc)), alg.zero()))
+    else:
+        p = sg.random_invertible(alg, n, seed=data.draw(st.integers(0, 2**16), label="seed"))
+    sigma = data.draw(st.sampled_from(lifts.entries), label="sigma")
+    for k in range(n + 1):
+        moved = sg.find_moved_subspace(p, sigma, k)
+        if sg.is_trivial_on_grassmannian(p, sigma, k):
+            assert moved is None
+        else:
+            assert moved is not None
+            assert (moved.dim, moved.ambient_dim) == (k, n)
+            assert sg.act_on_subspace(p, sigma, moved) != moved
+    for k in (-1, n + 1):
+        with pytest.raises(ValidationError):
+            sg.find_moved_subspace(p, sigma, k)

@@ -55,6 +55,26 @@ def test_field_table_semantics_enforced():
         sg.load_endo_structure(d)
 
 
+def _inner4_document(table):
+    """{id, i, j, k}: conjugation by the units i, j, k of H on M_1(H), an order-4 group."""
+    units = {"id": [1, 0, 0, 0], "i": [0, 1, 0, 0], "j": [0, 0, 1, 0], "k": [0, 0, 0, 1]}
+    return {
+        "blocks": [{"n": 1, "algebra": {"quaternion": [-1, -1]},
+                    "factor": {"label": "B", "dim": 2}, "lifts": []}],
+        "group": {"elements": [{"name": name, "tau": [1], "maps": [{"P": [[u]], "sigma": "id"}]}
+                               for name, u in units.items()]},
+        "fields": {"base": "Q", "full": "K", "table": table},
+    }
+
+
+def test_field_table_key_must_be_closed():
+    table = {"id": "K", "i,id": "Ki", "i,id,j,k": "Q"}
+    assert sg.load_endo_structure(_inner4_document(table)).action.composition[("i", "j")] == "k"
+    # {id, i, j} holds the identity, but i o j = k lies outside it
+    with pytest.raises(ValidationError, match="not closed under composition"):
+        sg.load_endo_structure(_inner4_document(dict(table, **{"i,id,j": "?"})))
+
+
 def test_table_is_optional():
     d = sg.demo_document("remark-A")
     del d["fields"]["table"]
