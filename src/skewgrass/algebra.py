@@ -555,8 +555,8 @@ class LiftTable:
     restrict to pairwise distinct automorphisms of the center.  ``values``
     holds each entry's center_values, so matching a center action to its
     lift is a lookup of that tuple.  ``composites`` is filled by
-    autos.compose_autos with the composite of each pair of entries, so each
-    is worked out once per table.
+    autos.compose_autos with the table entry and unit that each pair of
+    entries composes to, so each is worked out and checked once per table.
     """
 
     def __init__(self, algebra: DivisionAlgebra, entries, values):

@@ -228,14 +228,6 @@ def acts_as_identity(p: MatrixOverD, sigma: AlgebraAutomorphism) -> bool:
     return all(lam * b == b * lam for b in p.algebra.basis_elements())
 
 
-def _generators(alg: DivisionAlgebra, n: int):
-    """E_{i,i+1}, E_{i+1,i} and b_u I: they generate M_n(D) as a Q-algebra."""
-    one = alg.one()
-    units = [MatrixOverD.unit_entry(alg, n, n, s, t, one)
-             for i in range(n - 1) for s, t in ((i, i + 1), (i + 1, i))]
-    return units + [MatrixOverD.scalar(alg, n, b) for b in alg.basis_elements()]
-
-
 def inner_conjugator(f: MatrixAlgebraAutomorphism, sigma: AlgebraAutomorphism) -> MatrixOverD:
     """Invertible P with f(M) = P sigma(M) P^{-1}, for sigma with f's center action.
 
@@ -298,11 +290,12 @@ def decompose(f: MatrixAlgebraAutomorphism):
 
 
 def _composite_lift(block: Block, s1: AlgebraAutomorphism, s2: AlgebraAutomorphism):
-    """(s1 s2, sigma, u) for two lifts of the block's table, computed once per table.
+    """(sigma, u) for two lifts of the block's table, worked out once per table.
 
     sigma is the table entry with the center action of s1 s2, and u a unit
-    with (s1 s2)(x) u = u sigma(x).  They depend on the two lifts alone, so
-    the table keeps them, keyed by the positions of s1 and s2 in it.
+    with (s1 s2)(b) u = u sigma(b), checked by multiplication on every basis
+    element b of D rather than trusted from the kernel solve.  Both depend on
+    the two lifts alone; the table keeps them, keyed by the lifts' positions.
     """
     lifts = block.lifts
     try:
@@ -315,39 +308,31 @@ def _composite_lift(block: Block, s1: AlgebraAutomorphism, s2: AlgebraAutomorphi
         s_comp = s1.compose(s2)
         sigma = lifts.for_center_values(center_values(s_comp))
         basis = alg.basis_elements()
-        u = _intertwining_unit(alg, [s_comp.apply(b) for b in basis], [sigma.apply(b) for b in basis])
-        found = lifts.composites[key] = (s_comp, sigma, u)
+        lefts = [s_comp.apply(b) for b in basis]
+        rights = [sigma.apply(b) for b in basis]
+        u = _intertwining_unit(alg, lefts, rights)
+        if any(left * u != u * right for left, right in zip(lefts, rights)):
+            raise ValidationError(f"composition on {block.label} failed to reconstruct the product action")
+        found = lifts.composites[key] = (sigma, u)
     return found
 
 
-def compose_autos(block: Block, pair1, pair2, pinv1: MatrixOverD, pinv2: MatrixOverD):
-    """Compose (P1, s1) after (P2, s2) into one pair; pinv1, pinv2 invert P1, P2.
+def compose_autos(block: Block, pair1, pair2):
+    """Compose (P1, s1) after (P2, s2) into (P, sigma); P1 and P2 must be invertible.
 
-    s1 and s2 are lifts from the block's table.  The composite semilinear
-    part s1 s2 need not be a table entry; the entry sigma with the same
-    center action differs from it by an inner automorphism of D, witnessed
-    by a unit u with (s1 s2)(x) u = u sigma(x).  Then P = P1 s1(P2) (u I).
-
-    The result is checked exactly against the two inputs on every generator
-    g of M_n(D) (E_{i,i+1}, E_{i+1,i} and b_u I; two algebra maps that
-    agree there are equal): P1 s1(P2 s2(g) P2^{-1}) P1^{-1} P == P sigma(g).
-    The left side is regrouped as front (s1 s2)(g) rest, with
-    front = P1 s1(P2) and rest = s1(P2^{-1}) P1^{-1} P computed once per
-    call.  That is the same matrix: s1 is a table lift, validated
-    multiplicative when the table was built, so applied entrywise it is
-    multiplicative on matrices, s1(A B) = s1(A) s1(B), and s1(s2(g)) is
-    (s1 s2)(g).
+    s1 and s2 are table lifts, and s1 was checked multiplicative when the
+    table was built, so the composite is M -> F (s1 s2)(M) F^{-1} with
+    F = P1 s1(P2).  With sigma and u from _composite_lift, P = F (u I).
+    No composite needs a check of its own: rest = s1(P2^{-1}) P1^{-1} P is
+    u I, so F (s1 s2)(g) rest == P sigma(g) on the generators g of M_n(D)
+    holds exactly when (s1 s2)(g) u == u sigma(g).  That is always true on
+    E_{i,i+1} and E_{i+1,i}, and on b I it is the identity in D that
+    _composite_lift checks once per pair of table entries.
     """
     p1, s1 = pair1
     p2, s2 = pair2
-    s_comp, sigma, u = _composite_lift(block, s1, s2)
-    front = p1 * apply_sigma(s1, p2)
-    p = front * MatrixOverD.scalar(block.algebra, block.n, u)
-    rest = apply_sigma(s1, pinv2) * pinv1 * p
-    for g in _generators(block.algebra, block.n):
-        if front * apply_sigma(s_comp, g) * rest != p * apply_sigma(sigma, g):
-            raise ValidationError(f"composition on {block.label} failed to reconstruct the product action")
-    return p, sigma
+    sigma, u = _composite_lift(block, s1, s2)
+    return p1 * apply_sigma(s1, p2) * MatrixOverD.scalar(block.algebra, block.n, u), sigma
 
 
 def is_trivial_on_grassmannian(p: MatrixOverD, sigma: AlgebraAutomorphism, k: int) -> bool:

@@ -23,7 +23,7 @@ def _load_json_file(path: str):
             return json.load(fh)
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc.strerror or exc}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer past the digit limit
         raise ValidationError(f"{path} is not valid JSON: {exc}") from None
 
 

@@ -6,6 +6,8 @@ into factor i.  Factors related by tau must have literally identical
 descriptions, so those pairs compose inside a single factor.  Two elements
 act alike exactly when their permutations and the autos.action_key of
 every pair agree; the keys are computed once, when an element is built.
+Elements compose pair by pair (autos.compose_autos), and no inverse of a P
+is formed for that.
 
 An ideal is free when its stabilizer is trivial.  search_free is the one
 place that decides whether free ideals of a type exist, and it returns a
@@ -125,33 +127,25 @@ class GaloisAction:
         return self.by_name[name]
 
 
-def compose_elements(product: ProductAlgebra, g1: GroupElement, g2: GroupElement,
-                     pinvs1, pinvs2) -> GroupElement:
-    """The element acting as g1 after g2 (used for table building).
-
-    pinvs1 and pinvs2 hold the inverse of every P of g1 and of g2, factor by
-    factor; compose_autos checks each composite with them.
-    """
-    r = product.r
-    tau = tuple(g1.tau[g2.tau[i]] for i in range(r))
-    maps = []
-    for target in range(r):
-        mid = g1.tau_inv[target]
-        maps.append(compose_autos(product.blocks[target], g1.maps[target], g2.maps[mid],
-                                  pinvs1[target], pinvs2[mid]))
+def compose_elements(product: ProductAlgebra, g1: GroupElement, g2: GroupElement) -> GroupElement:
+    """The element acting as g1 after g2, pair by pair; every P must be invertible."""
+    maps = [compose_autos(block, g1.maps[i], g2.maps[g1.tau_inv[i]])
+            for i, block in enumerate(product.blocks)]
+    tau = tuple(g1.tau[t] for t in g2.tau)
     return GroupElement(f"({g1.name}*{g2.name})", tau, maps)
 
 
 def validate_group(product: ProductAlgebra, elements) -> GaloisAction:
     """Check permutation compatibility, closure, identity and inverses.
 
-    Closure is checked from a generating set T: walking the listed elements
-    in order, each one not yet reached from the identity joins T.  Only the
-    composites a o t, for a non-identity element a and t in T, are computed,
-    each as pairs checked by compose_autos, and matched against the listed
-    elements by their action keys; that is exact because every sigma is
-    checked to come from its factor's lift table.  S T in S and S in <T>
-    give S S in S, so a set that is not closed fails on some a o t.
+    Every P is checked invertible, which compose_autos needs, and every
+    sigma to come from its factor's lift table, which makes action keys
+    exact.  Closure is checked from a generating set T: walking the listed
+    elements in order, each one not yet reached from the identity joins T.
+    Only the composites a o t, for a non-identity element a and t in T, are
+    composed and matched against the listed elements by their action keys.
+    S T in S and S in <T> give S S in S, so a set that is not closed fails
+    on some a o t.
 
     The breadth-first pass that reaches every element records a word
     x = y o t for each element x outside T, with y reached earlier, and the
@@ -164,7 +158,6 @@ def validate_group(product: ProductAlgebra, elements) -> GaloisAction:
     if len(set(names)) != len(names):
         raise ValidationError(f"duplicate element names: {sorted(names)}")
     r = product.r
-    inverses = {}
     for g in elements:
         if len(g.tau) != r:
             raise ValidationError(f"element {g.name!r}: tau has length {len(g.tau)}; expected {r}")
@@ -174,17 +167,13 @@ def validate_group(product: ProductAlgebra, elements) -> GaloisAction:
                     f"element {g.name!r} sends factor {i + 1} to factor {j + 1}, "
                     f"but their descriptions differ"
                 )
-        pinvs = []
         for i, (p, sigma) in enumerate(g.maps):
             block = product.blocks[i]
             if (p.algebra != block.algebra or (p.rows, p.cols) != (block.n, block.n)
                     or sigma not in block.lifts.entries):
                 raise ValidationError(f"element {g.name!r}: map {i + 1} does not act on factor {i + 1}")
-            pinv = try_inverse(p)
-            if pinv is None:
+            if try_inverse(p) is None:
                 raise ValidationError(f"element {g.name!r}: P of map {i + 1} is singular")
-            pinvs.append(pinv)
-        inverses[g.name] = pinvs
     signatures = {}
     for g in elements:
         sig = g.signature()
@@ -212,7 +201,7 @@ def validate_group(product: ProductAlgebra, elements) -> GaloisAction:
         while k < len(reached):
             a = by_name[reached[k]]
             for t in gens[composed.get(a.name, 0):]:
-                comp = compose_elements(product, a, t, inverses[a.name], inverses[t.name])
+                comp = compose_elements(product, a, t)
                 match = signatures.get(comp.signature())
                 if match is None:
                     raise ValidationError(

@@ -81,3 +81,38 @@ def lifted_algebras():
         (B6, sg.LiftTable.build(B6)),
         (Z5, sg.LiftTable.build(Z5, _zeta5_power_lifts(Z5))),
     ]
+
+
+def _sqrt2_quaternions():
+    """(D, lift table) for D = H (x) Q(sqrt 2) and its one lift tw(x) = w s(x) w^{-1}.
+
+    D has basis 1, i, j, k, r, ri, rj, rk with r = sqrt 2 central; s sends
+    r to -r and fixes H, and w = i + r j.  tw o tw is conjugation by
+    w s(w) = 1 - 2 r k, which is not central: that composite is no table
+    entry, and the unit relating it to the identity lift is not central.
+    """
+    H = sg.quaternion_algebra(-1, -1)
+
+    def vec(q, power):  # r^power * q, power in {0, 1, 2}, as 8 coordinates
+        scale, half = (2, 0) if power == 2 else (1, power)
+        out = [0] * 8
+        for t, c in enumerate(q):
+            out[4 * half + t] = scale * c
+        return out
+
+    table = [[vec(H.table[a % 4][b % 4], a // 4 + b // 4) for b in range(8)] for a in range(8)]
+    D = sg.algebra_from_table(["1", "i", "j", "k", "r", "ri", "rj", "rk"], table,
+                              [1, 0, 0, 0, 0, 0, 0, 0], label="H(x)Q(sqrt2)")
+    s = sg.AlgebraAutomorphism(D, [[(1 if i < 4 else -1) if i == j else 0 for j in range(8)]
+                                   for i in range(8)])
+    w = D.element([0, 1, 0, 0, 0, 0, 1, 0])
+    w_inv = w.inv()
+    images = [(w * s.apply(b) * w_inv).coords for b in D.basis_elements()]
+    tw = sg.AlgebraAutomorphism(D, [[images[j][i] for j in range(8)] for i in range(8)], name="tw")
+    return D, sg.LiftTable.build(D, [tw])
+
+
+@pytest.fixture(scope="session")
+def HQ2():
+    """H (x) Q(sqrt 2) with a lift whose square is inner by a non-central unit."""
+    return _sqrt2_quaternions()

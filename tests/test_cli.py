@@ -158,6 +158,29 @@ def test_unreadable_json_exits_2(tmp_path, capsys):
     assert "not valid JSON" in json.loads(out)["error"]
 
 
+@pytest.mark.parametrize("case", ["exponent", "long_integer"])
+def test_oversized_numbers_exit_2_at_once(tmp_path, capsys, case):
+    # Fraction("1e10000000") and int() of a 5000-digit literal would take
+    # seconds or raise outside the error path; both are refused as bad input
+    import time
+
+    from skewgrass import datasets
+    path = tmp_path / "big.json"
+    if case == "exponent":
+        doc = datasets.demo_document("remark-A2")
+        doc["group"]["elements"][1]["maps"][1]["P"] = [[["1e10000000"], [0]], [[0], [1]]]
+        path.write_text(json.dumps(doc))
+        message = "group.elements[1].maps[1].P[0][0][0]: malformed rational"
+    else:
+        path.write_text("[" + "7" * 5000 + "]")
+        message = "not valid JSON"
+    start = time.perf_counter()
+    code, out = run(capsys, "validate", str(path))
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert message in json.loads(out)["error"]
+
+
 def test_doomed_type_exits_2(capsys):
     code, out = run(capsys, "demo", "remark-A", "--type", "9,9")
     assert code == 2

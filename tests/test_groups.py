@@ -481,12 +481,11 @@ def reference_group_table(product, elements):
     Each pair is composed with groups.compose_elements and matched by
     signature; an unmatched composite is recorded as None.
     """
-    pinvs = {g.name: [sg.try_inverse(p) for p, _ in g.maps] for g in elements}
     signatures = {g.signature(): g.name for g in elements}
     table = {}
     for g1 in elements:
         for g2 in elements:
-            comp = groups.compose_elements(product, g1, g2, pinvs[g1.name], pinvs[g2.name])
+            comp = groups.compose_elements(product, g1, g2)
             table[(g1.name, g2.name)] = signatures.get(comp.signature())
     identity = next(g.name for g in elements if g.is_identity_action())
     inverses = {a.name: next(b.name for b in elements

@@ -180,3 +180,12 @@ def test_rational_string_roundtrip():
         to_fraction(0.5)
     with pytest.raises(ValidationError):
         to_fraction("3/0")
+    assert to_fraction(" +12/8 ") == Fraction(3, 2)
+    assert to_fraction("-007") == -7
+    # only [+-]?digits or [+-]?digits/digits: no exponent, decimal point,
+    # underscore, inner space, signed denominator or non-ASCII digit
+    for text in ["1e10000000", "1.5", ".5", "1_000", "3 / 4", "3/-4", "1/2/3", "", "+", "0x10",
+                 "inf", "nan", "\u0661"]:
+        with pytest.raises(ValidationError, match="malformed rational") as err:
+            to_fraction(text, "P[0][0][0]")
+        assert err.value.path == "P[0][0][0]"
