@@ -6,8 +6,6 @@ import copy
 
 from .errors import ValidationError
 
-_ID2 = [[[1], [0]], [[0], [1]]]
-
 # An elliptic curve with CM by Q(i) times a curve with endomorphism ring Q,
 # over a ground field where only complex conjugation acts.  The conjugation
 # lift on the first factor sends x to -x in Q[x]/(x^2+1).
@@ -33,7 +31,7 @@ _REMARK_A = {
                 "tau": [1, 2],
                 "maps": [
                     {"P": [[[1, 0]]], "sigma": "id"},
-                    {"P": _ID2, "sigma": "id"},
+                    {"P": [[[1], [0]], [[0], [1]]], "sigma": "id"},
                 ],
             },
             {
@@ -41,18 +39,13 @@ _REMARK_A = {
                 "tau": [1, 2],
                 "maps": [
                     {"P": [[[1, 0]]], "sigma": "conj"},
-                    {"P": _ID2, "sigma": "id"},
+                    {"P": [[[1], [0]], [[0], [1]]], "sigma": "id"},
                 ],
             },
         ]
     },
     "fields": {"base": "Q", "full": "Q(i)", "table": {"id": "Q(i)", "c,id": "Q"}},
 }
-
-_ID2_GAUSS = [
-    [[1, 0], [0, 0]],
-    [[0, 0], [1, 0]],
-]
 
 # Same arithmetic, but the CM factor now appears with multiplicity two, so
 # its Grassmannians of intermediate type are genuinely infinite.
@@ -77,16 +70,16 @@ _REMARK_A2 = {
                 "name": "id",
                 "tau": [1, 2],
                 "maps": [
-                    {"P": _ID2_GAUSS, "sigma": "id"},
-                    {"P": _ID2, "sigma": "id"},
+                    {"P": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]], "sigma": "id"},
+                    {"P": [[[1], [0]], [[0], [1]]], "sigma": "id"},
                 ],
             },
             {
                 "name": "c",
                 "tau": [1, 2],
                 "maps": [
-                    {"P": _ID2_GAUSS, "sigma": "conj"},
-                    {"P": _ID2, "sigma": "id"},
+                    {"P": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]], "sigma": "conj"},
+                    {"P": [[[1], [0]], [[0], [1]]], "sigma": "id"},
                 ],
             },
         ]

@@ -197,12 +197,19 @@ def _subvariety_report(structure: EndoStructure, ideal: ProductIdeal, stab: tupl
     )
 
 
+# Past this dimension the bound has thousands of digits: g = 1250 is the
+# first whose value json.dumps refuses to print.
+MAX_BOUND_DIM = 1000
+
+
 def remond_bound(g: int) -> int:
     """Explicit bound on the degree of the field of definition of an
     abelian subvariety of a g-dimensional abelian variety, as a function
-    of g alone."""
+    of g alone, for 1 <= g <= MAX_BOUND_DIM."""
     if isinstance(g, bool) or not isinstance(g, int) or g < 1:
         raise ValidationError(f"dimension must be a positive integer, got {g!r}")
+    if g > MAX_BOUND_DIM:
+        raise ValidationError(f"dimension {g} exceeds the supported maximum {MAX_BOUND_DIM}")
     alpha = {2: Fraction(2), 4: Fraction(5), 6: Fraction(7, 6)}.get(g, Fraction(1))
     value = 2 * alpha * (6 ** (g - 1)) * math.factorial(g)
     if value.denominator != 1:
@@ -226,14 +233,15 @@ def subvariety_survey(structure: EndoStructure, kvec, count: int = 1, seed: int 
     this function only formats its certificate.
     """
     action = structure.action
+    g = structure.g_total
+    bound = remond_bound(g)  # refuses a too-large g before any sampling
     cert = search_free(action, kvec, count, seed, max_tries=max_tries)
     kvec = tuple(int(k) for k in kvec)
-    g = structure.g_total
     payload = {
         "type": list(kvec),
         "isogeny_class": _isogeny_class_label(structure, kvec),
         "group_order": action.order,
-        "bound": {"dim": g, "value": remond_bound(g)},
+        "bound": {"dim": g, "value": bound},
         "seed": seed,
     }
     if cert.status == "negative":

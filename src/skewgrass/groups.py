@@ -34,7 +34,7 @@ from .autos import (
 )
 from .errors import SearchExhausted, ValidationError
 from .ideals import ProductIdeal
-from .linalg import random_subspace, subseed, try_inverse
+from .linalg import column_echelon, random_subspace, subseed
 
 
 class ProductAlgebra:
@@ -172,7 +172,7 @@ def validate_group(product: ProductAlgebra, elements) -> GaloisAction:
             if (p.algebra != block.algebra or (p.rows, p.cols) != (block.n, block.n)
                     or sigma not in block.lifts.entries):
                 raise ValidationError(f"element {g.name!r}: map {i + 1} does not act on factor {i + 1}")
-            if try_inverse(p) is None:
+            if not column_echelon(p).is_full():
                 raise ValidationError(f"element {g.name!r}: P of map {i + 1} is singular")
     signatures = {}
     for g in elements:

@@ -8,6 +8,10 @@ particular a pivot is normalized by multiplying its column on the right by
 the pivot's inverse.  Over a noncommutative algebra multiplying on the left
 would change the span, which is the one place this module must differ from
 the commutative routine.
+
+column_echelon is the module's only elimination.  A square matrix is
+invertible exactly when its columns span D^n; try_inverse and right_kernel
+read the inverse and the kernel off the column echelon form of [M; I].
 """
 
 from __future__ import annotations
@@ -19,7 +23,6 @@ from .algebra import AlgebraAutomorphism, AlgebraElement, DivisionAlgebra
 from .errors import SearchExhausted, SingularMatrixError, ValidationError
 
 _ZERO = Fraction(0)
-_UNKNOWN = object()  # try_inverse has not run on this matrix yet
 
 
 def subseed(*parts: int) -> int:
@@ -34,13 +37,12 @@ def subseed(*parts: int) -> int:
 class MatrixOverD:
     """Immutable rows-of-entries matrix with AlgebraElement entries.
 
-    Two things are worked out at most once per matrix and kept on it: the
-    nonzero coordinates of every entry, on the first product that reads
-    them, and the result of try_inverse.  Neither takes part in equality or
-    hashing.
+    The nonzero coordinates of every entry are worked out on the first
+    product that reads them and kept on the matrix; they take no part in
+    equality or hashing.
     """
 
-    __slots__ = ("algebra", "rows", "cols", "entries", "_nonzero", "_inverse")
+    __slots__ = ("algebra", "rows", "cols", "entries", "_nonzero")
 
     def __init__(self, algebra: DivisionAlgebra, entries):
         self._fill(algebra, entries)
@@ -52,7 +54,7 @@ class MatrixOverD:
                     raise ValidationError("matrix entries must be elements of the same algebra")
 
     def _fill(self, algebra, entries):
-        self.algebra, self._nonzero, self._inverse = algebra, None, _UNKNOWN
+        self.algebra, self._nonzero = algebra, None
         self.entries = tuple(tuple(row) for row in entries)
         self.rows, self.cols = len(self.entries), len(self.entries[0]) if self.entries else 0
 
@@ -293,57 +295,22 @@ def subspace_sum(u: RightSubspace, w: RightSubspace) -> RightSubspace:
     return column_echelon(u.basis.hstack(w.basis))
 
 
-def _row_reduce(rows) -> list[int]:
-    """Reduced row echelon form over D, in place; returns the pivot columns.
-
-    Gauss-Jordan on rows: each pivot row is normalized by multiplying it on
-    the left by the pivot's inverse, and every other row is cleared in the
-    pivot column.  Left multiplications keep the right kernel of the rows.
-    """
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        pr = next((i for i in range(r, nrows) if not rows[i][c].is_zero()), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        inv = rows[r][c].inv()
-        rows[r] = [inv * e for e in rows[r]]
-        for i in range(nrows):
-            if i != r and not rows[i][c].is_zero():
-                f = rows[i][c]
-                rows[i] = [rows[i][k] - f * rows[r][k] for k in range(ncols)]
-        pivots.append(c)
-        r += 1
-    return pivots
+def _echelon_over_identity(matrix: MatrixOverD) -> RightSubspace:
+    """Column echelon form of [M; I]; every column stays of the form [M x; x]."""
+    ident = MatrixOverD.identity(matrix.algebra, matrix.cols)
+    return column_echelon(MatrixOverD._trusted(matrix.algebra, matrix.entries + ident.entries))
 
 
 def right_kernel(matrix: MatrixOverD):
     """Basis columns of {v in D^cols : matrix * v = 0}.
 
-    Row operations are left multiplications, which preserve this kernel, so
-    here scalars multiply rows on the left (the mirror image of the column
-    echelon convention).
+    In the column echelon form of [M; I], a column pivoted below M's rows is
+    zero in them, so its bottom part x has M x = 0.  Those bottom parts are
+    in echelon form, cols - rank(M) of them, and so a basis of the kernel.
     """
-    alg = matrix.algebra
-    rows = [list(r) for r in matrix.entries]
-    ncols = matrix.cols
-    pivot_cols = _row_reduce(rows)
-    zero, one = alg.zero(), alg.one()
-    basis = []
-    for free in range(ncols):
-        if free in pivot_cols:
-            continue
-        v = [zero] * ncols
-        v[free] = one
-        for i, pc in enumerate(pivot_cols):
-            v[pc] = -rows[i][free]
-        basis.append(tuple(v))
-    return basis
+    echelon = _echelon_over_identity(matrix)
+    return [echelon.basis.column(t)[matrix.rows:]
+            for t, row in enumerate(echelon.pivot_rows) if row >= matrix.rows]
 
 
 def subspace_intersect(u: RightSubspace, w: RightSubspace) -> RightSubspace:
@@ -356,46 +323,27 @@ def subspace_intersect(u: RightSubspace, w: RightSubspace) -> RightSubspace:
         raise ValidationError("subspaces live in different ambient spaces")
     if u.is_zero() or w.is_zero():
         return RightSubspace.zero(u.algebra, u.ambient_dim)
-    stacked = u.basis.hstack(w.basis)
-    kernel = right_kernel(stacked)
-    k1 = u.dim
-    vectors = []
-    for v in kernel:
-        x = list(v[:k1])
-        col = []
-        for r in range(u.ambient_dim):
-            acc = u.algebra.zero()
-            for t in range(k1):
-                if not x[t].is_zero():
-                    acc = acc + u.basis.entries[r][t] * x[t]
-            col.append(acc)
-        vectors.append(col)
-    if not vectors:
+    kernel = right_kernel(u.basis.hstack(w.basis))
+    if not kernel:
         return RightSubspace.zero(u.algebra, u.ambient_dim)
-    return column_echelon(MatrixOverD.from_columns(u.algebra, vectors, u.ambient_dim))
+    x = MatrixOverD.from_columns(u.algebra, [v[:u.dim] for v in kernel], u.dim)
+    return column_echelon(u.basis * x)
 
 
 def try_inverse(matrix: MatrixOverD) -> MatrixOverD | None:
-    """Inverse by row reduction of [M | I], or None if singular.
+    """Inverse from the column echelon form of [M; I], or None if singular.
 
-    The result, checked on both sides, is kept on the matrix: asking again
-    for the inverse of the same matrix object costs nothing.
+    M is invertible exactly when the pivots lie in rows 0..n-1.  The echelon
+    form is then [I; X] with M X = I, so the inverse is its bottom block; it
+    is checked on both sides before it is returned.
     """
-    if matrix._inverse is _UNKNOWN:
-        matrix._inverse = _row_reduce_inverse(matrix)
-    return matrix._inverse
-
-
-def _row_reduce_inverse(matrix: MatrixOverD) -> MatrixOverD | None:
     if matrix.rows != matrix.cols:
         raise ValidationError("only square matrices can be inverted")
-    alg = matrix.algebra
     n = matrix.rows
-    ident = MatrixOverD.identity(alg, n)
-    aug = [list(matrix.entries[i]) + list(ident.entries[i]) for i in range(n)]
-    if _row_reduce(aug) != list(range(n)):
+    echelon = _echelon_over_identity(matrix)
+    if echelon.pivot_rows != tuple(range(n)):
         return None
-    out = MatrixOverD(alg, [row[n:] for row in aug])
+    out = MatrixOverD(matrix.algebra, echelon.basis.entries[n:])
     if not (out * matrix).is_identity() or not (matrix * out).is_identity():
         return None
     return out
@@ -480,6 +428,6 @@ def random_invertible(algebra: DivisionAlgebra, n: int, seed: int,
     rng = random.Random(seed)
     for _ in range(1000):
         cand = random_matrix(algebra, n, n, rng, height)
-        if try_inverse(cand) is not None:
+        if column_echelon(cand).is_full():
             return cand
     raise SearchExhausted("could not sample an invertible matrix in 1000 draws")

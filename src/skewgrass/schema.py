@@ -14,7 +14,7 @@ from .autos import Block
 from .errors import ValidationError
 from .groups import GroupElement, ProductAlgebra
 from .ideals import ProductIdeal
-from .linalg import MatrixOverD, RightSubspace, column_echelon, try_inverse
+from .linalg import MatrixOverD, RightSubspace, column_echelon
 from .rationals import rat_str, to_fraction
 
 
@@ -157,7 +157,7 @@ def parse_group_element(product: ProductAlgebra, data, idx: int) -> GroupElement
                 raise ValidationError(
                     "sigma matrix is not one of the factor's lifts", f"{here}.sigma"
                 )
-        if try_inverse(p) is None:
+        if not column_echelon(p).is_full():
             raise ValidationError(f"P is singular over {block.algebra.label}", f"{here}.P")
         maps.append((p, sigma))
     try:

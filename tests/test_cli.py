@@ -102,6 +102,21 @@ def test_bound(capsys):
     assert json.loads(out) == {"command": "bound", "dim": 5, "value": 311040}
 
 
+def test_bound_past_the_maximum_dimension_exits_2(tmp_path, capsys):
+    code, out = run(capsys, "bound", "--dim", "1300")
+    assert code == 2 and "exceeds" in json.loads(out)["error"]
+    code, out = run(capsys, "bound", "--dim", "1000")
+    assert code == 0 and json.loads(out)["dim"] == 1000
+    # the survey reports the bound for the document's dimension, 1 + 2 * 650 here
+    from skewgrass import datasets
+    doc = datasets.demo_document("remark-A")
+    doc["blocks"][1]["factor"]["dim"] = 650
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(doc))
+    code, out = run(capsys, "survey", str(path), "--type", "1,1")
+    assert code == 2 and "exceeds" in json.loads(out)["error"]
+
+
 def test_field_of_def_with_ideal_file(tmp_path, capsys):
     # block 0: the line through (1, i) in Q(i)^2; block 1: the line through (1, 0) in Q^2
     ideal = [

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import json
 
 import pytest
@@ -29,6 +30,15 @@ def test_load_document_directly():
     E = sg.load_endo_structure(sg.demo_document("remark-A2"))
     assert E.g_total == 4
     assert E.product.blocks[0].n == 2
+
+
+@pytest.mark.parametrize("name", sg.DEMO_NAMES)
+def test_editing_one_demo_p_leaves_the_others(name):
+    maps = [m for g in sg.demo_document(name)["group"]["elements"] for m in g["maps"]]
+    for edited in maps:
+        others = copy.deepcopy([m["P"] for m in maps if m is not edited])
+        edited["P"][0][0][0] = 7
+        assert [m["P"] for m in maps if m is not edited] == others
 
 
 def test_unknown_demo_name():
@@ -137,9 +147,10 @@ def test_remond_bound_matches_independent_oracle():
 
 
 def test_remond_bound_rejects_bad_dimension():
-    for bad in (0, -3, "3", 2.5, True):
+    for bad in (0, -3, "3", 2.5, True, 1001):
         with pytest.raises(ValidationError):
             sg.remond_bound(bad)
+    assert sg.remond_bound(1000) == oracles.oracle_bound(1000)
 
 
 def test_check_bound():

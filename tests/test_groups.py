@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import skewgrass as sg
 from conftest import sampled_ideals
-from skewgrass import autos, groups
+from skewgrass import autos, groups, linalg
 from skewgrass.errors import SearchExhausted, ValidationError
 
 
@@ -124,13 +124,19 @@ def quaternion_units_action(H):
     return sg.validate_group(product, elements)
 
 
-def test_validate_group_builds_no_dense_map(H, monkeypatch):
+def _refuse_everywhere(monkeypatch, fn, message):
+    """Make every skewgrass module's binding of fn raise."""
     def refuse(*args, **kwargs):
-        raise AssertionError("a dense coordinate map was built")
+        raise AssertionError(message)
 
     for name, module in list(sys.modules.items()):
-        if name.startswith("skewgrass") and getattr(module, "from_pair", None) is autos.from_pair:
-            monkeypatch.setattr(module, "from_pair", refuse)
+        if name.startswith("skewgrass") and getattr(module, fn.__name__, None) is fn:
+            monkeypatch.setattr(module, fn.__name__, refuse)
+    return refuse
+
+
+def test_validate_group_builds_no_dense_map(H, monkeypatch):
+    refuse = _refuse_everywhere(monkeypatch, autos.from_pair, "a dense coordinate map was built")
     monkeypatch.setattr(autos.MatrixAlgebraAutomorphism, "__init__", refuse)
     for demo in sg.DEMO_NAMES:
         assert sg.load_endo_structure(demo).action.order == 2
@@ -139,6 +145,14 @@ def test_validate_group_builds_no_dense_map(H, monkeypatch):
     assert action.composition[("i", "j")] == "k" and action.composition[("j", "i")] == "k"
     assert action.composition[("i", "i")] == "id"
     assert action.inverses == {"id": "id", "i": "i", "j": "j", "k": "k"}
+
+
+def test_loading_and_validate_group_invert_no_matrix(H, monkeypatch):
+    # a listed P only needs to be nonsingular, which its column echelon rank decides
+    _refuse_everywhere(monkeypatch, linalg.try_inverse, "a matrix was inverted")
+    for demo in sg.DEMO_NAMES:
+        assert sg.load_endo_structure(demo).action.order == 2
+    assert quaternion_units_action(H).order == 4
 
 
 def test_validate_group_composes_only_with_generators(H, monkeypatch):

@@ -213,16 +213,44 @@ def test_identity_lift_returns_its_target(H):
 
 
 def test_try_inverse_row_reduces_a_matrix_once(H, monkeypatch):
+    # one column elimination of [M; I] per call, and nothing is cached on M
     calls = []
-    real = linalg._row_reduce_inverse
-    monkeypatch.setattr(linalg, "_row_reduce_inverse", lambda m: calls.append(m) or real(m))
+    real = linalg.column_echelon
+    monkeypatch.setattr(linalg, "column_echelon", lambda m: calls.append(m) or real(m))
     m = sg.random_invertible(H, 3, seed=7)
     singular = sg.MatrixOverD.zeros(H, 2, 2)
-    assert sg.try_inverse(m) is sg.try_inverse(m)
-    assert sg.try_inverse(singular) is None and sg.try_inverse(singular) is None
-    assert len(calls) == 2
-    assert sg.try_inverse(m) * m == sg.MatrixOverD.identity(H, 3)
-    assert m == sg.MatrixOverD(H, m.entries) and hash(m) == hash(sg.MatrixOverD(H, m.entries))
+    calls.clear()
+    inv = sg.try_inverse(m)
+    assert len(calls) == 1 and calls[0].rows == 6 and calls[0].cols == 3
+    assert sg.try_inverse(m) == inv and len(calls) == 2
+    assert sg.try_inverse(singular) is None and len(calls) == 3
+    assert inv * m == sg.MatrixOverD.identity(H, 3) == m * inv
+
+
+@pytest.mark.parametrize("alg", [alg for alg, _ in lifted_algebras()], ids=lambda a: a.label)
+@settings(max_examples=12)
+@given(data=st.data())
+def test_rank_inverse_and_kernel_agree(alg, data):
+    n = data.draw(st.integers(1, 3), label="n")
+    coord = st.one_of(st.just(F(0)), st.fractions(min_value=-3, max_value=3, max_denominator=4))
+    element = st.lists(coord, min_size=alg.dim, max_size=alg.dim).map(alg.element)
+    cols = [data.draw(st.lists(element, min_size=n, max_size=n), label=f"column {j}") for j in range(n)]
+    if data.draw(st.booleans(), label="force singular"):
+        # column j becomes a right combination of the others, zero when n = 1
+        j = data.draw(st.integers(0, n - 1), label="j")
+        scalars = data.draw(st.lists(element, min_size=n, max_size=n), label="scalars")
+        cols[j] = [sum((cols[k][r] * scalars[k] for k in range(n) if k != j), alg.zero())
+                   for r in range(n)]
+    m = sg.MatrixOverD.from_columns(alg, cols, n)
+    echelon, inv, kernel = sg.column_echelon(m), sg.try_inverse(m), sg.right_kernel(m)
+    assert echelon.is_full() == (inv is not None) == (kernel == [])
+    if inv is not None:
+        assert (inv * m).is_identity() and (m * inv).is_identity()
+    assert len(kernel) == n - echelon.dim
+    for v in kernel:
+        assert (m * sg.MatrixOverD.from_columns(alg, [v], n)).is_zero()
+    if kernel:
+        assert sg.column_echelon(sg.MatrixOverD.from_columns(alg, kernel, n)).dim == len(kernel)
 
 
 def test_internal_results_skip_the_entry_checks(Qi, H, monkeypatch):
@@ -238,6 +266,9 @@ def test_internal_results_skip_the_entry_checks(Qi, H, monkeypatch):
     monkeypatch.undo()
     for r in results:
         assert r == sg.MatrixOverD(r.algebra, r.entries)
+    # a's nonzero coordinates are kept after a * b; equality and hashing ignore them
+    assert a._nonzero is not None and sg.MatrixOverD(H, a.entries)._nonzero is None
+    assert a == sg.MatrixOverD(H, a.entries) and hash(a) == hash(sg.MatrixOverD(H, a.entries))
     assert (a - b).entries[1][0] == a.entries[1][0] - b.entries[1][0]
     # the public constructor keeps every check, and apply_sigma checks the algebra
     with pytest.raises(ValidationError, match="ragged"):

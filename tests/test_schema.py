@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 import skewgrass as sg
-from skewgrass import linalg, schema
+from skewgrass import schema
 from skewgrass.errors import ValidationError
 
 
@@ -95,14 +95,15 @@ def test_singular_p_is_located():
 
 
 def test_each_listed_p_is_row_reduced_once(monkeypatch):
-    # schema inverts every P to locate a singular one; validate_group reuses it
+    # schema column-reduces every P once to locate a singular one
     calls = []
-    real = linalg._row_reduce_inverse
-    monkeypatch.setattr(linalg, "_row_reduce_inverse", lambda m: calls.append(m) or real(m))
-    structure = sg.load_endo_structure("remark-A2")
-    listed = [p for g in structure.action.elements for p, _ in g.maps]
-    assert len(calls) == len(listed)
-    assert all(c is p for c, p in zip(calls, listed))
+    real = schema.column_echelon
+    monkeypatch.setattr(schema, "column_echelon", lambda m: calls.append(m) or real(m))
+    parts = schema.parse_document(sg.demo_document("remark-A2"))
+    listed = [p for g in parts["elements"] for p, _ in g.maps]
+    reduced = [c for c in calls if any(c is p for p in listed)]
+    assert len(reduced) == len(listed)
+    assert all(c is p for c, p in zip(reduced, listed))
 
 
 def test_reducible_field_is_located():
