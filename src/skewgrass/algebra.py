@@ -1,17 +1,21 @@
 """Structure-constant division algebras over Q and their automorphisms.
 
 An algebra is given by a basis b_0, ..., b_{d-1} and the coordinates of every
-product b_i * b_j.  Elements are coordinate vectors of Fractions, so all
-arithmetic is exact.  Associativity and the unit law are checked when the
-table is built; the division property is deliberately not certified up
-front.  Whenever an inverse is requested and does not exist, the element is
-reported as a witness that the table does not describe a division algebra.
+product b_i * b_j.  An element is held as integer numerators over one
+positive denominator, reduced by their common gcd, and the table as integers
+over one table denominator, so all arithmetic is exact and runs on Python
+integers; the Fraction coordinates are a view computed at the boundary.
+Associativity and the unit law are checked when the table is built; the
+division property is deliberately not certified up front.  Whenever an
+inverse is requested and does not exist, the element is reported as a
+witness that the table does not describe a division algebra.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from math import gcd, lcm
 
 from . import qlinalg
 from .errors import AlgebraDataError, IncompleteLiftTableError, ValidationError
@@ -47,7 +51,8 @@ def _format_combination(coords, labels) -> str:
 class DivisionAlgebra:
     """Finite-dimensional associative Q-algebra expected to be a skew field."""
 
-    __slots__ = ("dim", "basis_labels", "table", "unit", "label", "_sparse", "_hash", "_center")
+    __slots__ = ("dim", "basis_labels", "table", "unit", "label", "_sparse", "_products",
+                 "_table_den", "_one", "_hash", "_center")
 
     def __init__(self, basis_labels, table, unit, label: str | None = None):
         labels = tuple(str(s) for s in basis_labels)
@@ -71,10 +76,18 @@ class DivisionAlgebra:
         self.table = tbl
         self.unit = u
         self.label = label or "algebra"
-        # sparse view of the table speeds up the inner product loop
+        # sparse view of the table speeds up the inner product loop of mul_coords
         self._sparse = tuple(
             tuple(tuple((k, c) for k, c in enumerate(entry) if c) for entry in row) for row in tbl
         )
+        # the same table as integer numerators over one denominator, for AlgebraElement
+        den = lcm(*(c.denominator for row in tbl for entry in row for c in entry))
+        self._table_den = den
+        self._products = tuple(
+            tuple(tuple((k, c.numerator * (den // c.denominator)) for k, c in enumerate(entry) if c)
+                  for entry in row) for row in tbl
+        )
+        self._one = AlgebraElement(self, u)
         self._hash = hash((labels, tbl, u))
         self._center = None
         self._check_unit()
@@ -127,6 +140,7 @@ class DivisionAlgebra:
         return f"DivisionAlgebra({self.label}, dim={self.dim})"
 
     def mul_coords(self, a, b):
+        """Product of two Fraction coordinate vectors, straight from the table."""
         d = self.dim
         out = [_ZERO] * d
         sparse = self._sparse
@@ -148,64 +162,141 @@ class DivisionAlgebra:
         return AlgebraElement(self, tuple(to_fraction(c) for c in coords))
 
     def zero(self) -> "AlgebraElement":
-        return AlgebraElement(self, (_ZERO,) * self.dim)
+        return _reduced(self, (0,) * self.dim, 1)
 
     def one(self) -> "AlgebraElement":
-        return AlgebraElement(self, self.unit)
+        return self._one
 
     def basis_element(self, u: int) -> "AlgebraElement":
-        return AlgebraElement(self, tuple(_ONE if t == u else _ZERO for t in range(self.dim)))
+        return _reduced(self, tuple(1 if t == u else 0 for t in range(self.dim)), 1)
 
     def basis_elements(self):
         return [self.basis_element(u) for u in range(self.dim)]
 
 
-class AlgebraElement:
-    """An element of a DivisionAlgebra, held as an exact coordinate vector."""
+def _reduced(algebra: DivisionAlgebra, num, den: int) -> "AlgebraElement":
+    """The element num/den of algebra, for integers num and den > 0, in lowest terms."""
+    if den != 1:
+        g = gcd(den, *num)
+        if g != 1:
+            num = [x // g for x in num]
+            den //= g
+    elem = object.__new__(AlgebraElement)
+    elem.algebra = algebra
+    elem.num = tuple(num)
+    elem.den = den
+    return elem
 
-    __slots__ = ("algebra", "coords")
+
+def _fraction_free_solve(a, b):
+    """(w, det) with a w = det b for a nonsingular square integer matrix a, else None.
+
+    Fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp. 22, 1968)
+    on [a | b]: after the step on pivot k every entry is a minor of order
+    k + 1, so each division by the previous pivot is exact.  It ends with
+    det = +-det(a) on the diagonal and w = det * a^{-1} b in the last column.
+    """
+    n = len(a)
+    m = [row + [c] for row, c in zip(a, b)]
+    prev = 1
+    for k in range(n):
+        p = next((i for i in range(k, n) if m[i][k]), None)
+        if p is None:
+            return None
+        m[k], m[p] = m[p], m[k]
+        pivot_row = m[k]
+        pivot = pivot_row[k]
+        for i in range(n):
+            if i != k:
+                row = m[i]
+                f = row[k]
+                m[i] = [(pivot * x - f * y) // prev for x, y in zip(row, pivot_row)]
+        prev = pivot
+    return [row[n] for row in m], prev
+
+
+class AlgebraElement:
+    """An element of a DivisionAlgebra: integer numerators ``num`` over ``den``.
+
+    ``den`` is positive, gcd(den, *num) is 1 and zero is 0/1, so equal
+    elements have equal fields.  ``coords`` is the Fraction view.
+    """
+
+    __slots__ = ("algebra", "num", "den")
 
     def __init__(self, algebra: DivisionAlgebra, coords):
+        coords = tuple(coords)
+        if len(coords) != algebra.dim:
+            raise ValidationError(f"coordinate vector has length {len(coords)}, expected {algebra.dim}")
+        # over the lcm of reduced denominators the numerators are already coprime to it
+        try:
+            den = lcm(*[c.denominator for c in coords])
+        except AttributeError:
+            raise ValidationError("coordinates must be ints or Fractions") from None
         self.algebra = algebra
-        self.coords = tuple(coords)
-        if len(self.coords) != algebra.dim:
-            raise ValidationError(f"coordinate vector has length {len(self.coords)}, expected {algebra.dim}")
+        self.num = tuple(c.numerator * (den // c.denominator) for c in coords)
+        self.den = den
+
+    @property
+    def coords(self) -> tuple:
+        """The coordinates as Fractions, computed on each access; zeros share one object."""
+        den = self.den
+        return tuple(Fraction(x, den) if x else _ZERO for x in self.num)
 
     def _check_same(self, other):
-        if self.algebra != other.algebra:
+        if self.algebra is not other.algebra and self.algebra != other.algebra:
             raise ValidationError("elements belong to different algebras")
 
-    def __add__(self, other):
+    def _plus(self, other, sign: int) -> "AlgebraElement":
+        """self + sign * other, over the lcm of the two denominators."""
         self._check_same(other)
-        return AlgebraElement(self.algebra, tuple(a + b for a, b in zip(self.coords, other.coords)))
+        da, db = self.den, other.den
+        g = gcd(da, db)
+        fa, fb = db // g, sign * (da // g)
+        return _reduced(self.algebra, [x * fa + y * fb for x, y in zip(self.num, other.num)], da * fa)
+
+    def __add__(self, other):
+        return self._plus(other, 1)
 
     def __sub__(self, other):
-        self._check_same(other)
-        return AlgebraElement(self.algebra, tuple(a - b for a, b in zip(self.coords, other.coords)))
+        return self._plus(other, -1)
 
     def __neg__(self):
-        return AlgebraElement(self.algebra, tuple(-a for a in self.coords))
+        return _reduced(self.algebra, [-x for x in self.num], self.den)
 
     def __mul__(self, other):
-        if isinstance(other, AlgebraElement):
-            self._check_same(other)
-            return AlgebraElement(self.algebra, self.algebra.mul_coords(self.coords, other.coords))
-        return NotImplemented
+        if not isinstance(other, AlgebraElement):
+            return NotImplemented
+        self._check_same(other)
+        alg = self.algebra
+        out = [0] * alg.dim
+        products = alg._products
+        for i, x in enumerate(self.num):
+            if not x:
+                continue
+            row = products[i]
+            for j, y in enumerate(other.num):
+                if not y:
+                    continue
+                c = x * y
+                for k, s in row[j]:
+                    out[k] += c * s
+        return _reduced(alg, out, self.den * other.den * alg._table_den)
 
     def scale(self, q) -> "AlgebraElement":
         q = to_fraction(q)
-        return AlgebraElement(self.algebra, tuple(q * a for a in self.coords))
+        return _reduced(self.algebra, [q.numerator * x for x in self.num], q.denominator * self.den)
 
     def is_zero(self) -> bool:
-        return not any(self.coords)
+        return not any(self.num)
 
     def __eq__(self, other):
         if not isinstance(other, AlgebraElement):
             return NotImplemented
-        return self.algebra == other.algebra and self.coords == other.coords
+        return self.num == other.num and self.den == other.den and self.algebra == other.algebra
 
     def __hash__(self):
-        return hash(self.coords)
+        return hash((self.num, self.den))
 
     def __repr__(self):
         return _format_combination(self.coords, self.algebra.basis_labels)
@@ -218,14 +309,34 @@ class AlgebraElement:
         return [[cols[j][i] for j in range(d)] for i in range(d)]
 
     def try_inv(self) -> "AlgebraElement | None":
-        """Two-sided inverse, or None.  Silent form of :meth:`inv`."""
+        """Two-sided inverse, or None.  Silent form of :meth:`inv`.
+
+        With a the integer matrix whose column j holds the numerators of
+        num * b_j over the table denominator t, self * y = 1 reads
+        a y = den * t * unit; it is solved fraction-free, with one division
+        (the reduction to lowest terms) at the end.
+        """
         if self.is_zero():
             return None
-        sol = qlinalg.solve(self.left_regular_matrix(), list(self.algebra.unit))
-        if sol is None:
+        alg = self.algebra
+        d = alg.dim
+        a = [[0] * d for _ in range(d)]
+        for i, x in enumerate(self.num):
+            if not x:
+                continue
+            for j, entry in enumerate(alg._products[i]):
+                for k, s in entry:
+                    a[k][j] += x * s
+        one = alg._one
+        solved = _fraction_free_solve(a, list(one.num))
+        if solved is None:
             return None
-        cand = AlgebraElement(self.algebra, sol)
-        if (cand * self).coords != self.algebra.unit or (self * cand).coords != self.algebra.unit:
+        w, det = solved
+        factor = self.den * alg._table_den
+        if det < 0:
+            factor, det = -factor, -det
+        cand = _reduced(alg, [factor * x for x in w], det * one.den)
+        if cand * self != one or self * cand != one:
             return None
         return cand
 
@@ -461,12 +572,13 @@ class AlgebraAutomorphism:
     """A Q-linear ring automorphism of a DivisionAlgebra.
 
     Stored as a d x d rational matrix whose column j holds the coordinates
-    of the image of basis element b_j.  The nonzero entries of each row and
-    whether the matrix is the identity are read off once, at construction;
-    the identity then maps every element to itself.
+    of the image of basis element b_j.  The nonzero entries of each row, as
+    integers over one denominator, and whether the matrix is the identity
+    are read off once, at construction; the identity then maps every element
+    to itself.
     """
 
-    __slots__ = ("algebra", "matrix", "name", "_rows", "_identity")
+    __slots__ = ("algebra", "matrix", "name", "_rows", "_den", "_identity")
 
     def __init__(self, algebra: DivisionAlgebra, matrix, name: str | None = None):
         self.algebra = algebra
@@ -475,18 +587,21 @@ class AlgebraAutomorphism:
         if len(self.matrix) != d or any(len(r) != d for r in self.matrix):
             raise ValidationError(f"automorphism matrix must be {d}x{d}")
         self.name = name
-        self._rows = tuple(tuple((k, c) for k, c in enumerate(row) if c) for row in self.matrix)
-        self._identity = all(row == ((i, _ONE),) for i, row in enumerate(self._rows))
+        den = self._den = lcm(*(c.denominator for row in self.matrix for c in row))
+        self._rows = tuple(tuple((k, c.numerator * (den // c.denominator)) for k, c in enumerate(row) if c)
+                           for row in self.matrix)
+        self._identity = den == 1 and all(row == ((i, 1),) for i, row in enumerate(self._rows))
 
     def apply_coords(self, coords):
-        if self._identity:
-            return tuple(coords)
-        return tuple(sum((c * coords[k] for k, c in row if coords[k]), _ZERO) for row in self._rows)
+        """Image of a coordinate vector, as Fractions."""
+        return self.apply(AlgebraElement(self.algebra, coords)).coords
 
     def apply(self, elem: AlgebraElement) -> AlgebraElement:
         if self._identity:
             return elem
-        return AlgebraElement(self.algebra, self.apply_coords(elem.coords))
+        num = elem.num
+        return _reduced(self.algebra, [sum([c * num[k] for k, c in row]) for row in self._rows],
+                        elem.den * self._den)
 
     def is_identity(self) -> bool:
         return self._identity

@@ -200,6 +200,9 @@ def _subvariety_report(structure: EndoStructure, ideal: ProductIdeal, stab: tupl
 # Past this dimension the bound has thousands of digits: g = 1250 is the
 # first whose value json.dumps refuses to print.
 MAX_BOUND_DIM = 1000
+# Survey budgets: witnesses asked for, and subspace samples spent at most.
+MAX_COUNT = 1000
+MAX_TRIES = 100_000
 
 
 def remond_bound(g: int) -> int:
@@ -230,11 +233,16 @@ def subvariety_survey(structure: EndoStructure, kvec, count: int = 1, seed: int 
     stabilizer) with its field, 'positive' with `count` verified
     witnesses and their fields, or 'inconclusive' when the search budget ran
     out (which is never reported as nonexistence).  search_free decides;
-    this function only formats its certificate.
+    this function only formats its certificate.  A count above MAX_COUNT or
+    a max_tries above MAX_TRIES is refused before any sampling.
     """
     action = structure.action
     g = structure.g_total
     bound = remond_bound(g)  # refuses a too-large g before any sampling
+    if count > MAX_COUNT:
+        raise ValidationError(f"count {count} exceeds the supported maximum {MAX_COUNT}")
+    if max_tries > MAX_TRIES:
+        raise ValidationError(f"max_tries {max_tries} exceeds the supported maximum {MAX_TRIES}")
     cert = search_free(action, kvec, count, seed, max_tries=max_tries)
     kvec = tuple(int(k) for k in kvec)
     payload = {

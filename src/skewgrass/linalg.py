@@ -17,12 +17,11 @@ read the inverse and the kernel off the column echelon form of [M; I].
 from __future__ import annotations
 
 import random
-from fractions import Fraction
+from math import lcm
 
-from .algebra import AlgebraAutomorphism, AlgebraElement, DivisionAlgebra
+from .algebra import AlgebraAutomorphism, AlgebraElement, DivisionAlgebra, _reduced
 from .errors import SearchExhausted, SingularMatrixError, ValidationError
 
-_ZERO = Fraction(0)
 
 
 def subseed(*parts: int) -> int:
@@ -34,15 +33,27 @@ def subseed(*parts: int) -> int:
     return h
 
 
+def _over_common_den(line):
+    """The lcm of the entries' denominators, and per entry its nonzero (index, numerator) pairs over it."""
+    den = lcm(*[e.den for e in line])
+    pairs = []
+    for e in line:
+        f = den // e.den
+        pairs.append(tuple([(u, x * f) for u, x in enumerate(e.num) if x]))
+    return den, tuple(pairs)
+
+
 class MatrixOverD:
     """Immutable rows-of-entries matrix with AlgebraElement entries.
 
-    The nonzero coordinates of every entry are worked out on the first
-    product that reads them and kept on the matrix; they take no part in
+    For products, every row (as a left factor) and every column (as a right
+    factor) is brought to one common denominator, and the nonzero integer
+    numerators of its entries are listed; both are worked out on the first
+    product that reads them and kept on the matrix.  They take no part in
     equality or hashing.
     """
 
-    __slots__ = ("algebra", "rows", "cols", "entries", "_nonzero")
+    __slots__ = ("algebra", "rows", "cols", "entries", "_nonzero", "_nonzero_cols")
 
     def __init__(self, algebra: DivisionAlgebra, entries):
         self._fill(algebra, entries)
@@ -54,7 +65,7 @@ class MatrixOverD:
                     raise ValidationError("matrix entries must be elements of the same algebra")
 
     def _fill(self, algebra, entries):
-        self.algebra, self._nonzero = algebra, None
+        self.algebra, self._nonzero, self._nonzero_cols = algebra, None, None
         self.entries = tuple(tuple(row) for row in entries)
         self.rows, self.cols = len(self.entries), len(self.entries[0]) if self.entries else 0
 
@@ -109,19 +120,19 @@ class MatrixOverD:
             return NotImplemented
         if self.algebra != other.algebra or self.cols != other.rows:
             raise ValidationError("matrix shapes do not match")
-        # Products of nonzero coordinates go through the structure constants
-        # straight into one coordinate list per output entry.
+        # Products of nonzero numerators go through the integer structure
+        # constants straight into one numerator list per output entry, over
+        # the row's and the column's common denominators.
         alg = self.algebra
         d = alg.dim
-        table = alg._sparse
-        right = other._nonzero_entries()
+        table, table_den = alg._products, alg._table_den
+        right = other._nonzero_columns()
         out = []
-        for left in self._nonzero_entries():
+        for row_den, left in self._nonzero_rows():
             out_row = []
-            for j in range(other.cols):
-                acc = [_ZERO] * d
-                for a, right_row in zip(left, right):
-                    b = right_row[j]
+            for col_den, right_col in right:
+                acc = [0] * d
+                for a, b in zip(left, right_col):
                     if not a or not b:
                         continue
                     for u, x in a:
@@ -130,16 +141,21 @@ class MatrixOverD:
                             c = x * y
                             for w, s in products[v]:
                                 acc[w] += c * s
-                out_row.append(AlgebraElement(alg, acc))
+                out_row.append(_reduced(alg, acc, row_den * col_den * table_den))
             out.append(out_row)
         return MatrixOverD._trusted(alg, out)
 
-    def _nonzero_entries(self):
-        """Per entry, the (index, coordinate) pairs with nonzero coordinate."""
+    def _nonzero_rows(self):
+        """Per row, its common denominator and each entry's nonzero (index, numerator) pairs."""
         if self._nonzero is None:
-            self._nonzero = tuple(tuple(tuple((u, c) for u, c in enumerate(e.coords) if c) for e in row)
-                                  for row in self.entries)
+            self._nonzero = tuple(_over_common_den(row) for row in self.entries)
         return self._nonzero
+
+    def _nonzero_columns(self):
+        """Per column, its common denominator and each entry's nonzero (index, numerator) pairs."""
+        if self._nonzero_cols is None:
+            self._nonzero_cols = tuple(_over_common_den(col) for col in self.columns())
+        return self._nonzero_cols
 
     def __add__(self, other):
         if not isinstance(other, MatrixOverD):
@@ -187,7 +203,7 @@ class MatrixOverD:
                 and self.cols == other.cols and self.entries == other.entries)
 
     def __hash__(self):
-        return hash((self.rows, self.cols, self.coords()))
+        return hash((self.rows, self.cols, self.entries))
 
     def __repr__(self):
         body = "; ".join(", ".join(repr(e) for e in row) for row in self.entries)
@@ -249,7 +265,7 @@ class RightSubspace:
                 and self.basis == other.basis)
 
     def __hash__(self):
-        return hash((self.ambient_dim, self.basis.coords()))
+        return hash((self.ambient_dim, self.basis))
 
     def __repr__(self):
         return f"RightSubspace(dim {self.dim} of D^{self.ambient_dim})"
@@ -263,8 +279,8 @@ def column_echelon(matrix: MatrixOverD) -> RightSubspace:
     row is cleared from every other column.  Unused columns end up zero and
     are dropped.
     """
-    n = matrix.rows
-    cols = [list(matrix.column(j)) for j in range(matrix.cols)]
+    alg, n = matrix.algebra, matrix.rows
+    cols = matrix.columns()
     used = [False] * len(cols)
     pivot_cols: list[int] = []
     pivot_rows: list[int] = []
@@ -273,20 +289,21 @@ def column_echelon(matrix: MatrixOverD) -> RightSubspace:
         if pj is None:
             continue
         pivot = cols[pj][row]
-        if pivot != matrix.algebra.one():
+        if pivot != alg.one():
             pinv = pivot.inv()
             cols[pj] = [e * pinv for e in cols[pj]]
+        pcol = cols[pj]
         for j in range(len(cols)):
             if j == pj:
                 continue
             c = cols[j][row]
             if not c.is_zero():
-                cols[j] = [cols[j][r] - cols[pj][r] * c for r in range(n)]
+                cols[j] = [x if p.is_zero() else x - p * c for x, p in zip(cols[j], pcol)]
         used[pj] = True
         pivot_cols.append(pj)
         pivot_rows.append(row)
-    basis = MatrixOverD.from_columns(matrix.algebra, [cols[j] for j in pivot_cols], n)
-    return RightSubspace(matrix.algebra, n, basis, pivot_rows)
+    basis = MatrixOverD._trusted(alg, [[cols[j][r] for j in pivot_cols] for r in range(n)])
+    return RightSubspace(alg, n, basis, pivot_rows)
 
 
 def subspace_sum(u: RightSubspace, w: RightSubspace) -> RightSubspace:
@@ -366,10 +383,10 @@ def apply_matrix(p: MatrixOverD, v: RightSubspace) -> RightSubspace:
 def apply_sigma(sigma: AlgebraAutomorphism, target):
     """Entrywise application of an algebra automorphism.
 
-    Accepts a MatrixOverD or a RightSubspace; subspace images are
-    re-canonicalized (entrywise sigma preserves canonical form, but the
-    caller should not have to rely on that).  The identity returns the
-    target itself.
+    Accepts a MatrixOverD or a RightSubspace.  The image of a subspace is
+    already canonical: sigma fixes 0 and 1 entrywise, so the pivot rows,
+    the unit pivots and the zeros elsewhere in pivot rows all survive.  The
+    identity returns the target itself.
     """
     if not isinstance(target, (MatrixOverD, RightSubspace)):
         raise ValidationError(f"cannot apply an automorphism to {type(target).__name__}")
@@ -379,21 +396,21 @@ def apply_sigma(sigma: AlgebraAutomorphism, target):
         return target
     if isinstance(target, MatrixOverD):
         return target.map_entries(sigma.apply)
-    return column_echelon(target.basis.map_entries(sigma.apply))
+    return RightSubspace(target.algebra, target.ambient_dim, target.basis.map_entries(sigma.apply),
+                         target.pivot_rows)
 
 
 # -- seeded random sampling --------------------------------------------------
 
 
 def random_element(algebra: DivisionAlgebra, rng: random.Random, height: int) -> AlgebraElement:
-    coords = []
+    nums, dens = [], []
     for _ in range(algebra.dim):
-        num = rng.randint(-height, height)
+        nums.append(rng.randint(-height, height))
         den = rng.randint(-height, height - 1)
-        if den >= 0:
-            den += 1
-        coords.append(Fraction(num, den))
-    return algebra.element(coords)
+        dens.append(den + 1 if den >= 0 else den)
+    common = lcm(*dens)  # positive; common // den carries the sign of den
+    return _reduced(algebra, [num * (common // den) for num, den in zip(nums, dens)], common)
 
 
 def random_matrix(algebra: DivisionAlgebra, rows: int, cols: int, rng: random.Random,

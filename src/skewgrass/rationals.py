@@ -1,8 +1,10 @@
 """Exact rational scalars and their wire format.
 
-Every scalar in this package is a ``fractions.Fraction``: always reduced,
-arbitrary precision, never rounded.  Floats are rejected at the boundary so
-no inexact value can leak in.
+Scalars enter and leave the package as ``fractions.Fraction``: always
+reduced, arbitrary precision, never rounded.  Inside, elements of a
+division algebra are integer numerators over one denominator (see
+``algebra``); their Fraction coordinates are the view at this boundary.
+Floats are rejected here so no inexact value can leak in.
 """
 
 from __future__ import annotations

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import settings
@@ -83,14 +84,8 @@ def lifted_algebras():
     ]
 
 
-def _sqrt2_quaternions():
-    """(D, lift table) for D = H (x) Q(sqrt 2) and its one lift tw(x) = w s(x) w^{-1}.
-
-    D has basis 1, i, j, k, r, ri, rj, rk with r = sqrt 2 central; s sends
-    r to -r and fixes H, and w = i + r j.  tw o tw is conjugation by
-    w s(w) = 1 - 2 r k, which is not central: that composite is no table
-    entry, and the unit relating it to the identity lift is not central.
-    """
+def _sqrt2_quaternion_algebra():
+    """D = H (x) Q(sqrt 2) on the basis 1, i, j, k, r, ri, rj, rk, r = sqrt 2 central."""
     H = sg.quaternion_algebra(-1, -1)
 
     def vec(q, power):  # r^power * q, power in {0, 1, 2}, as 8 coordinates
@@ -101,8 +96,19 @@ def _sqrt2_quaternions():
         return out
 
     table = [[vec(H.table[a % 4][b % 4], a // 4 + b // 4) for b in range(8)] for a in range(8)]
-    D = sg.algebra_from_table(["1", "i", "j", "k", "r", "ri", "rj", "rk"], table,
-                              [1, 0, 0, 0, 0, 0, 0, 0], label="H(x)Q(sqrt2)")
+    return sg.algebra_from_table(["1", "i", "j", "k", "r", "ri", "rj", "rk"], table,
+                                 [1, 0, 0, 0, 0, 0, 0, 0], label="H(x)Q(sqrt2)")
+
+
+def _sqrt2_quaternions():
+    """(D, lift table) for D = H (x) Q(sqrt 2) and its one lift tw(x) = w s(x) w^{-1}.
+
+    s sends r = sqrt 2 to -r and fixes H, and w = i + r j.  tw o tw is
+    conjugation by w s(w) = 1 - 2 r k, which is not central: that composite
+    is no table entry, and the unit relating it to the identity lift is not
+    central.
+    """
+    D = _sqrt2_quaternion_algebra()
     s = sg.AlgebraAutomorphism(D, [[(1 if i < 4 else -1) if i == j else 0 for j in range(8)]
                                    for i in range(8)])
     w = D.element([0, 1, 0, 0, 0, 0, 1, 0])
@@ -110,6 +116,16 @@ def _sqrt2_quaternions():
     images = [(w * s.apply(b) * w_inv).coords for b in D.basis_elements()]
     tw = sg.AlgebraAutomorphism(D, [[images[j][i] for j in range(8)] for i in range(8)], name="tw")
     return D, sg.LiftTable.build(D, [tw])
+
+
+def oracle_algebras():
+    """Every lifted algebra, H (x) Q(sqrt 2), and the definite (-1/2,-3/5|Q).
+
+    The last one is the only table with non-integral structure constants
+    (table denominator 10), so a wrong table denominator shows there.
+    """
+    algebras = [alg for alg, _ in lifted_algebras()]
+    return algebras + [_sqrt2_quaternion_algebra(), sg.quaternion_algebra(Fraction(-1, 2), Fraction(-3, 5))]
 
 
 @pytest.fixture(scope="session")

@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import skewgrass as sg
-from conftest import lifted_algebras
+from conftest import lifted_algebras, oracle_algebras
 from skewgrass import qlinalg
 from skewgrass.errors import AlgebraDataError, ValidationError
 
@@ -244,3 +245,66 @@ def test_apply_coords_matches_matvec(alg, lifts, data):
         assert theta.apply_coords(coords) == tuple(qlinalg.matvec(matrix, list(coords)))
         assert theta.apply(alg.element(coords)).coords == theta.apply_coords(coords)
         assert theta.is_identity() == qlinalg.is_identity(matrix)
+
+
+# -- the integer core against plain Fraction arithmetic --------------------
+
+
+def _in_normal_form(x):
+    """den > 0, gcd(den, *num) = 1, and zero is 0/1."""
+    return x.den > 0 and gcd(x.den, *x.num) == 1 and (any(x.num) or x.den == 1)
+
+
+@pytest.mark.parametrize("alg", oracle_algebras(), ids=lambda a: a.label)
+@settings(max_examples=25)
+@given(data=st.data())
+def test_integer_core_matches_fraction_arithmetic(alg, data):
+    coord = st.one_of(st.just(F(0)), st.fractions(min_value=-5, max_value=5, max_denominator=12))
+    vec = st.lists(coord, min_size=alg.dim, max_size=alg.dim).map(tuple)
+    a, b = data.draw(vec, label="a"), data.draw(vec, label="b")
+    q = data.draw(st.fractions(min_value=-4, max_value=4, max_denominator=6), label="q")
+    x, y = alg.element(a), alg.element(b)
+    results = {
+        "+": (x + y, tuple(s + t for s, t in zip(a, b))),
+        "-": (x - y, tuple(s - t for s, t in zip(a, b))),
+        "neg": (-x, tuple(-s for s in a)),
+        "*": (x * y, alg.mul_coords(a, b)),
+        "*rev": (y * x, alg.mul_coords(b, a)),
+        "scale": (x.scale(q), tuple(q * s for s in a)),
+    }
+    for op, (got, want) in results.items():
+        assert got.coords == want, op
+        assert _in_normal_form(got), op
+        assert got == alg.element(want) and hash(got) == hash(alg.element(want)), op
+    assert (x == y) == (a == b)
+    inv = x.try_inv()
+    if not any(a):
+        assert inv is None
+    else:
+        # every oracle algebra is a division algebra, so the inverse exists
+        assert inv.coords == tuple(qlinalg.solve(x.left_regular_matrix(), list(alg.unit)))
+        assert alg.mul_coords(inv.coords, a) == alg.unit == alg.mul_coords(a, inv.coords)
+        assert _in_normal_form(inv)
+
+
+def test_normal_form_is_pinned():
+    A = sg.quaternion_algebra(F(-1, 2), F(-3, 5))
+    assert A._table_den == 10
+    half = A.element(["2/4", 0, 0, 0])
+    assert half.num == (1, 0, 0, 0) and half.den == 2
+    assert half == A.element(["1/2", "0", 0, 0]) and hash(half) == hash(A.element([F(1, 2), 0, 0, 0]))
+    x, y = A.element([F(1, 3), F(-2, 7), 0, 5]), A.element([F(5, 6), F(1, 14), F(-3, 2), 0])
+    z = (x + y) - y
+    assert (z.num, z.den) == (x.num, x.den) and z == x and hash(z) == hash(x)
+    for zero in (A.zero(), x - x, x.scale(0), A.element([0, F(0, 5), 0, 0])):
+        assert zero.num == (0, 0, 0, 0) and zero.den == 1 and zero == A.zero()
+    assert x.scale(F(-3, 4)).den > 0 and (-x).den == x.den
+    for e in (x, y, x * y, y * x, x.scale(F(-3, 4))):
+        assert _in_normal_form(e)
+        assert _in_normal_form(e.inv()) and e * e.inv() == A.one() == e.inv() * e
+    # coords is a view: a fresh tuple of Fractions each time, not stored on the element
+    assert x.coords == (F(1, 3), F(-2, 7), F(0), F(5)) and x.coords is not x.coords
+    with pytest.raises(AttributeError):
+        x.coords = (1, 2, 3, 4)
+    with pytest.raises(ValidationError, match="ints or Fractions"):
+        sg.AlgebraElement(A, [0.5, 0, 0, 0])

@@ -117,6 +117,23 @@ def test_bound_past_the_maximum_dimension_exits_2(tmp_path, capsys):
     assert code == 2 and "exceeds" in json.loads(out)["error"]
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("survey", "remark-A2", "--type", "1,1", "--count", "1001"), "count 1001 exceeds"),
+    (("survey", "remark-A2", "--type", "1,1", "--max-tries", "100001"), "max_tries 100001 exceeds"),
+    (("demo", "remark-A2", "--type", "1,1", "--count", "1001"), "count 1001 exceeds"),
+])
+def test_survey_budget_past_the_caps_exits_2(capsys, argv, message):
+    code, out = run(capsys, *argv)
+    assert code == 2
+    assert message in json.loads(out)["error"]
+
+
+def test_survey_budget_at_the_caps_exits_0(capsys):
+    code, out = run(capsys, "survey", "remark-A2", "--type", "1,1", "--count", "3",
+                    "--max-tries", "100000")
+    assert code == 0 and json.loads(out)["status"] == "positive"
+
+
 def test_field_of_def_with_ideal_file(tmp_path, capsys):
     # block 0: the line through (1, i) in Q(i)^2; block 1: the line through (1, 0) in Q^2
     ideal = [

@@ -10,7 +10,7 @@ import pytest
 import oracles
 import skewgrass as sg
 from conftest import sampled_ideals
-from skewgrass import groups, schema
+from skewgrass import frontend, groups, schema
 from skewgrass.errors import ValidationError
 
 
@@ -151,6 +151,22 @@ def test_remond_bound_rejects_bad_dimension():
         with pytest.raises(ValidationError):
             sg.remond_bound(bad)
     assert sg.remond_bound(1000) == oracles.oracle_bound(1000)
+
+
+def test_survey_budget_caps():
+    E = sg.load_endo_structure("remark-A2")
+    with pytest.raises(ValidationError, match="count 1001 exceeds the supported maximum 1000"):
+        sg.subvariety_survey(E, (1, 1), count=frontend.MAX_COUNT + 1)
+    with pytest.raises(ValidationError, match="max_tries 100001 exceeds the supported maximum 100000"):
+        sg.subvariety_survey(E, (1, 1), max_tries=frontend.MAX_TRIES + 1)
+    # negatives sample nothing, yet an oversized budget is refused there too
+    with pytest.raises(ValidationError, match="exceeds"):
+        sg.subvariety_survey(E, (2, 1), count=frontend.MAX_COUNT + 1)
+    # at the caps themselves the survey runs; a budget of MAX_TRIES samples is only an upper bound
+    res = sg.subvariety_survey(E, (1, 1), count=2, seed=0, max_tries=frontend.MAX_TRIES)
+    assert res["status"] == "positive"
+    res = sg.subvariety_survey(E, (2, 1), count=frontend.MAX_COUNT, seed=0)
+    assert res["status"] == "negative"
 
 
 def test_check_bound():

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import oracles
 import skewgrass as sg
-from conftest import lifted_algebras, subspace_rows
+from conftest import _sqrt2_quaternions, lifted_algebras, oracle_algebras, subspace_rows
 from skewgrass import linalg
 from skewgrass.errors import SingularMatrixError, ValidationError
 from skewgrass.linalg import random_matrix
@@ -182,7 +182,7 @@ def test_echelon_idempotent_on_its_own_basis(seed):
         assert v.contains_vector(v.basis.column(j))
 
 
-@pytest.mark.parametrize("alg", [alg for alg, _ in lifted_algebras()], ids=lambda a: a.label)
+@pytest.mark.parametrize("alg", oracle_algebras(), ids=lambda a: a.label)
 @settings(max_examples=10)
 @given(data=st.data())
 def test_fused_product_matches_the_element_loop(alg, data):
@@ -200,6 +200,20 @@ def test_fused_product_matches_the_element_loop(alg, data):
     product = a * b
     assert (product.rows, product.cols) == (rows, cols)
     assert product.entries == tuple(map(tuple, expected))
+
+
+@pytest.mark.parametrize("alg, lifts", lifted_algebras() + [_sqrt2_quaternions()],
+                         ids=lambda x: getattr(x, "label", ""))
+@settings(max_examples=8)
+@given(data=st.data())
+def test_apply_sigma_keeps_the_canonical_form(alg, lifts, data):
+    n = data.draw(st.integers(1, 3), label="n")
+    k = data.draw(st.integers(0, n), label="k")
+    v = sg.random_subspace(alg, n, k, seed=data.draw(st.integers(0, 2 ** 31), label="seed"), height=4)
+    for sigma in lifts:
+        image = sg.apply_sigma(sigma, v)
+        recomputed = sg.column_echelon(v.basis.map_entries(sigma.apply))
+        assert image.basis == recomputed.basis and image.pivot_rows == recomputed.pivot_rows
 
 
 def test_identity_lift_returns_its_target(H):
