@@ -188,33 +188,6 @@ def _reduced(algebra: DivisionAlgebra, num, den: int) -> "AlgebraElement":
     return elem
 
 
-def _fraction_free_solve(a, b):
-    """(w, det) with a w = det b for a nonsingular square integer matrix a, else None.
-
-    Fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp. 22, 1968)
-    on [a | b]: after the step on pivot k every entry is a minor of order
-    k + 1, so each division by the previous pivot is exact.  It ends with
-    det = +-det(a) on the diagonal and w = det * a^{-1} b in the last column.
-    """
-    n = len(a)
-    m = [row + [c] for row, c in zip(a, b)]
-    prev = 1
-    for k in range(n):
-        p = next((i for i in range(k, n) if m[i][k]), None)
-        if p is None:
-            return None
-        m[k], m[p] = m[p], m[k]
-        pivot_row = m[k]
-        pivot = pivot_row[k]
-        for i in range(n):
-            if i != k:
-                row = m[i]
-                f = row[k]
-                m[i] = [(pivot * x - f * y) // prev for x, y in zip(row, pivot_row)]
-        prev = pivot
-    return [row[n] for row in m], prev
-
-
 class AlgebraElement:
     """An element of a DivisionAlgebra: integer numerators ``num`` over ``den``.
 
@@ -313,29 +286,29 @@ class AlgebraElement:
 
         With a the integer matrix whose column j holds the numerators of
         num * b_j over the table denominator t, self * y = 1 reads
-        a y = den * t * unit; it is solved fraction-free, with one division
-        (the reduction to lowest terms) at the end.
+        a y = den * t * unit; qlinalg._eliminate solves it fraction-free, with
+        one division (the reduction to lowest terms) at the end.
         """
         if self.is_zero():
             return None
         alg = self.algebra
         d = alg.dim
-        a = [[0] * d for _ in range(d)]
+        one = alg._one
+        scale = self.den * alg._table_den
+        a = [[0] * d + [scale * u] for u in one.num]
         for i, x in enumerate(self.num):
             if not x:
                 continue
             for j, entry in enumerate(alg._products[i]):
                 for k, s in entry:
                     a[k][j] += x * s
-        one = alg._one
-        solved = _fraction_free_solve(a, list(one.num))
-        if solved is None:
+        pivots, det = qlinalg._eliminate(a)
+        if pivots != list(range(d)):
             return None
-        w, det = solved
-        factor = self.den * alg._table_den
+        w = [row[d] for row in a]
         if det < 0:
-            factor, det = -factor, -det
-        cand = _reduced(alg, [factor * x for x in w], det * one.den)
+            w, det = [-x for x in w], -det
+        cand = _reduced(alg, w, det * one.den)
         if cand * self != one or self * cand != one:
             return None
         return cand
@@ -536,28 +509,16 @@ def center(algebra: DivisionAlgebra) -> CenterDescription:
     d = algebra.dim
     rows = []
     for i in range(d):
-        e_i = tuple(_ONE if t == i else _ZERO for t in range(d))
         # column j of this block: coords of b_j*b_i - b_i*b_j
         cols = [tuple(x - y for x, y in zip(algebra.table[j][i], algebra.table[i][j])) for j in range(d)]
         for r in range(d):
             rows.append([cols[j][r] for j in range(d)])
     kernel = qlinalg.kernel_basis(rows)
-    # greedily pick an independent subset starting from the unit so the
-    # unit is always the first center basis vector
-    chosen = []
-    echelon_rows: list[list[Fraction]] = []
-
-    def try_add(vec):
-        cand = echelon_rows + [list(vec)]
-        if qlinalg.rank(cand) > len(echelon_rows):
-            echelon_rows.append(list(vec))
-            chosen.append(tuple(vec))
-
-    try_add(algebra.unit)
-    for v in kernel:
-        if len(chosen) == len(kernel):
-            break
-        try_add(v)
+    # the pivot columns of [unit | kernel] pick, in order, each vector outside
+    # the span of those before it, so the unit is the first center basis vector
+    vecs = [algebra.unit] + kernel
+    _, pivots = qlinalg.rref([[v[r] for v in vecs] for r in range(d)])
+    chosen = [tuple(vecs[j]) for j in pivots]
     if len(chosen) != len(kernel):
         raise ValidationError("unit is not central; table is not an algebra with identity")
     cen = CenterDescription(algebra, chosen)

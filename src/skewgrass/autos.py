@@ -17,6 +17,8 @@ central factor.
 
 from __future__ import annotations
 
+from math import lcm
+
 from . import qlinalg
 from .algebra import (
     AlgebraAutomorphism,
@@ -189,10 +191,14 @@ def _central_normal_form(p: MatrixOverD):
     as the last row of the reduced echelon form of the reversed coordinate
     vectors.  It depends on the span P Z alone, and it is what a Q-kernel
     basis of h(B) X = X B puts first; the CLI and golden outputs are pinned
-    to it.
+    to it.  Each vector is passed as integer numerators over the common
+    denominator of its entries; scaling a row leaves the RREF unchanged.
     """
-    rows = [list(reversed(p.map_entries(lambda e: z * e).coords()))
-            for z in center(p.algebra).basis]
+    rows = []
+    for z in center(p.algebra).basis:
+        flat = [z * e for row in p.entries for e in row]
+        den = lcm(*[e.den for e in flat])
+        rows.append([x * (den // e.den) for e in reversed(flat) for x in reversed(e.num)])
     reduced, _ = qlinalg.rref(rows)
     return tuple(reversed(reduced[-1]))
 

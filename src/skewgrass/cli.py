@@ -9,6 +9,7 @@ search.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -164,7 +165,9 @@ def _pretty(payload: dict) -> str:
     return "\n".join(lines)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built on first use and shared: parse_args keeps no state between calls."""
     parser = argparse.ArgumentParser(
         prog="skewgrass",
         description="Galois descent bookkeeping for products of matrix algebras "

@@ -1,16 +1,18 @@
 """Dense exact linear algebra over Q.
 
-Matrices are lists of lists of Fractions, row major.  Everything here is
-plain Gauss-Jordan; sizes stay small (a few hundred rows at most) so no
-attempt is made to be clever about pivoting.
+Matrices are lists of rows of ints or Fractions, row major; results are
+Fractions.  The one elimination is _eliminate, fraction-free Gauss-Jordan on
+integer rows; rank, kernel_basis, solve and inverse read rref, and
+AlgebraElement.try_inv calls _eliminate directly.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
-Matrix = list  # list[list[Fraction]], row major
-Vector = list  # list[Fraction]
+Matrix = list  # list[list[int | Fraction]], row major
+Vector = list  # list[int | Fraction]
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -22,10 +24,6 @@ def identity(n: int) -> Matrix:
 
 def zeros(rows: int, cols: int) -> Matrix:
     return [[_ZERO] * cols for _ in range(rows)]
-
-
-def copy(a: Matrix) -> Matrix:
-    return [row[:] for row in a]
 
 
 def matmul(a: Matrix, b: Matrix) -> Matrix:
@@ -49,12 +47,20 @@ def matvec(a: Matrix, v: Vector) -> Vector:
     return [sum((row[k] * v[k] for k in range(len(v)) if v[k]), _ZERO) for row in a]
 
 
-def rref(a: Matrix) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form; returns (R, pivot column indices)."""
-    m = copy(a)
+def _eliminate(m: list) -> tuple[list[int], int]:
+    """Fraction-free Gauss-Jordan elimination on integer rows, in place.
+
+    Returns (pivot columns, d).  Afterwards row i < rank holds d times row i
+    of the RREF of m, and the rows below are zero.  This is Bareiss's
+    elimination (Math. Comp. 22, 1968) carried to the rows above the pivot:
+    after the step on pivot k every entry is a minor of order k + 1 of the
+    row-permuted input, so each division by the previous pivot is exact, and
+    d is that minor on the pivot rows and columns.
+    """
     rows = len(m)
     cols = len(m[0]) if rows else 0
     pivots: list[int] = []
+    prev = 1
     r = 0
     for c in range(cols):
         if r == rows:
@@ -63,15 +69,31 @@ def rref(a: Matrix) -> tuple[Matrix, list[int]]:
         if pr is None:
             continue
         m[r], m[pr] = m[pr], m[r]
-        inv = _ONE / m[r][c]
-        m[r] = [x * inv for x in m[r]]
+        pivot_row = m[r]
+        pivot = pivot_row[c]
         for i in range(rows):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [m[i][j] - f * m[r][j] for j in range(cols)]
+            if i != r:
+                row = m[i]
+                f = row[c]
+                m[i] = [(pivot * x - f * y) // prev for x, y in zip(row, pivot_row)]
+        prev = pivot
         pivots.append(c)
         r += 1
-    return m, pivots
+    return pivots, prev
+
+
+def rref(a: Matrix) -> tuple[Matrix, list[int]]:
+    """Reduced row echelon form; returns (R, pivot column indices).
+
+    Each row is scaled to integers by the lcm of its denominators, which
+    leaves the RREF unchanged; the only divisions are the final ones by d.
+    """
+    m = []
+    for row in a:
+        den = lcm(*[x.denominator for x in row])
+        m.append([x.numerator * (den // x.denominator) for x in row])
+    pivots, d = _eliminate(m)
+    return [[Fraction(x, d) if x else _ZERO for x in row] for row in m], pivots
 
 
 def rank(a: Matrix) -> int:
@@ -114,7 +136,7 @@ def solve(a: Matrix, b: Vector) -> Vector | None:
 def inverse(a: Matrix) -> Matrix | None:
     """Inverse of a square matrix, or None if singular."""
     n = len(a)
-    aug = [a[i][:] + identity(n)[i] for i in range(n)]
+    aug = [list(a[i]) + [int(i == j) for j in range(n)] for i in range(n)]
     r, pivots = rref(aug)
     if pivots != list(range(n)):
         return None

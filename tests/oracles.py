@@ -60,6 +60,18 @@ def rref(rows):
     return tuple(out)
 
 
+def solve(rows, b):
+    """The solution of rows x = b with every free variable 0, or None."""
+    ncols = len(rows[0])
+    x = [Fraction(0)] * ncols
+    for row in rref([list(r) + [c] for r, c in zip(rows, b)]):
+        lead = next(j for j in range(ncols + 1) if row[j] != 0)
+        if lead == ncols:
+            return None
+        x[lead] = row[ncols]
+    return x
+
+
 def row_space(rows):
     """Canonical form of the span of the given vectors."""
     return rref(rows)

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -182,6 +184,18 @@ def test_invalid_document_error_carries_path(tmp_path, capsys):
     assert "blocks[0].lifts[0].matrix[1][1]" in json.loads(out)["error"]
 
 
+def test_singular_lift_exits_2(tmp_path, capsys):
+    from skewgrass import datasets
+    doc = datasets.demo_document("remark-A2")
+    doc["blocks"][0]["lifts"][0]["matrix"] = [[1, 0], [0, 0]]
+    path = tmp_path / "singular.json"
+    path.write_text(json.dumps(doc))
+    code, out = run(capsys, "validate", str(path))
+    assert code == 2
+    assert "blocks[0].lifts: automorphism conj of" in json.loads(out)["error"]
+    assert "is not invertible" in json.loads(out)["error"]
+
+
 def test_unreadable_json_exits_2(tmp_path, capsys):
     path = tmp_path / "junk.json"
     path.write_text("{nope")
@@ -259,6 +273,18 @@ def test_byte_identical_reruns(capsys):
     assert first == second
     _, other = run(capsys, "demo", "remark-A2", "--type", "1,1", "--count", "5", "--seed", "8")
     assert other != first
+
+
+def test_main_calls_carry_no_state(capsys):
+    # the parser is built once per process; the second call must not see the first's --count
+    argv = ["survey", "remark-A2", "--type", "1,1"]
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    fresh = subprocess.run([sys.executable, "-m", "skewgrass.cli", *argv], capture_output=True,
+                           text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    run(capsys, *argv, "--count", "3")
+    code, out = run(capsys, *argv)
+    assert (code, out) == (fresh.returncode, fresh.stdout)
+    assert len(json.loads(out)["witnesses"]) == 1
 
 
 def test_pretty_survey(capsys):
