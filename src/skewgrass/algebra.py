@@ -4,7 +4,10 @@ An algebra is given by a basis b_0, ..., b_{d-1} and the coordinates of every
 product b_i * b_j.  An element is held as integer numerators over one
 positive denominator, reduced by their common gcd, and the table as integers
 over one table denominator, so all arithmetic is exact and runs on Python
-integers; the Fraction coordinates are a view computed at the boundary.
+integers.  DivisionAlgebra.mul_coords is the one product of D: element
+products, inverses, the construction checks and the automorphism checks all
+run on it.  Fractions appear only at the boundary: in parsing, in the
+``table`` and ``unit`` an algebra was built from, and in the ``coords`` view.
 Associativity and the unit law are checked when the table is built; the
 division property is deliberately not certified up front.  Whenever an
 inverse is requested and does not exist, the element is reported as a
@@ -51,8 +54,8 @@ def _format_combination(coords, labels) -> str:
 class DivisionAlgebra:
     """Finite-dimensional associative Q-algebra expected to be a skew field."""
 
-    __slots__ = ("dim", "basis_labels", "table", "unit", "label", "_sparse", "_products",
-                 "_table_den", "_one", "_hash", "_center")
+    __slots__ = ("dim", "basis_labels", "table", "unit", "label", "_products", "_table_den",
+                 "_one", "_hash", "_center")
 
     def __init__(self, basis_labels, table, unit, label: str | None = None):
         labels = tuple(str(s) for s in basis_labels)
@@ -76,11 +79,7 @@ class DivisionAlgebra:
         self.table = tbl
         self.unit = u
         self.label = label or "algebra"
-        # sparse view of the table speeds up the inner product loop of mul_coords
-        self._sparse = tuple(
-            tuple(tuple((k, c) for k, c in enumerate(entry) if c) for entry in row) for row in tbl
-        )
-        # the same table as integer numerators over one denominator, for AlgebraElement
+        # the nonzero structure constants as integer numerators over one denominator
         den = lcm(*(c.denominator for row in tbl for entry in row for c in entry))
         self._table_den = den
         self._products = tuple(
@@ -96,25 +95,21 @@ class DivisionAlgebra:
     # -- validation -------------------------------------------------------
 
     def _check_unit(self):
-        for j in range(self.dim):
-            e_j = tuple(_ONE if t == j else _ZERO for t in range(self.dim))
-            if self.mul_coords(self.unit, e_j) != e_j or self.mul_coords(e_j, self.unit) != e_j:
+        one = self._one
+        for j, b in enumerate(self.basis_elements()):
+            if not one * b == b == b * one:
                 raise ValidationError(
                     f"{self.label}: unit vector is not a two-sided identity on basis element "
                     f"{self.basis_labels[j]!r}"
                 )
 
     def _check_associativity(self):
-        d = self.dim
-        for i in range(d):
-            for j in range(d):
-                tij = self.table[i][j]
-                for k in range(d):
-                    e_k = tuple(_ONE if t == k else _ZERO for t in range(d))
-                    e_i = tuple(_ONE if t == i else _ZERO for t in range(d))
-                    left = self.mul_coords(tij, e_k)
-                    right = self.mul_coords(e_i, self.table[j][k])
-                    if left != right:
+        basis = self.basis_elements()
+        prods = [[bi * bj for bj in basis] for bi in basis]
+        for i, bi in enumerate(basis):
+            for j in range(self.dim):
+                for k, bk in enumerate(basis):
+                    if prods[i][j] * bk != bi * prods[j][k]:
                         raise ValidationError(
                             f"{self.label}: structure constants are not associative on "
                             f"({self.basis_labels[i]}, {self.basis_labels[j]}, {self.basis_labels[k]})"
@@ -140,23 +135,25 @@ class DivisionAlgebra:
         return f"DivisionAlgebra({self.label}, dim={self.dim})"
 
     def mul_coords(self, a, b):
-        """Product of two Fraction coordinate vectors, straight from the table."""
-        d = self.dim
-        out = [_ZERO] * d
-        sparse = self._sparse
-        for i in range(d):
-            ai = a[i]
-            if not ai:
+        """The product in D on integer numerators: the only multiplication of D.
+
+        For integer vectors a and b, returns the integer vector c, unreduced,
+        with a * b = c / _table_den; AlgebraElement.__mul__ divides by the
+        element denominators and reduces.
+        """
+        out = [0] * self.dim
+        products = self._products
+        for i, x in enumerate(a):
+            if not x:
                 continue
-            row = sparse[i]
-            for j in range(d):
-                bj = b[j]
-                if not bj:
+            row = products[i]
+            for j, y in enumerate(b):
+                if not y:
                     continue
-                c = ai * bj
+                c = x * y
                 for k, s in row[j]:
                     out[k] += c * s
-        return tuple(out)
+        return out
 
     def element(self, coords) -> "AlgebraElement":
         return AlgebraElement(self, tuple(to_fraction(c) for c in coords))
@@ -242,19 +239,7 @@ class AlgebraElement:
             return NotImplemented
         self._check_same(other)
         alg = self.algebra
-        out = [0] * alg.dim
-        products = alg._products
-        for i, x in enumerate(self.num):
-            if not x:
-                continue
-            row = products[i]
-            for j, y in enumerate(other.num):
-                if not y:
-                    continue
-                c = x * y
-                for k, s in row[j]:
-                    out[k] += c * s
-        return _reduced(alg, out, self.den * other.den * alg._table_den)
+        return _reduced(alg, alg.mul_coords(self.num, other.num), self.den * other.den * alg._table_den)
 
     def scale(self, q) -> "AlgebraElement":
         q = to_fraction(q)
@@ -273,13 +258,6 @@ class AlgebraElement:
 
     def __repr__(self):
         return _format_combination(self.coords, self.algebra.basis_labels)
-
-    def left_regular_matrix(self):
-        """Matrix of x -> self * x on coordinates (columns are self * b_j)."""
-        d = self.algebra.dim
-        cols = [self.algebra.mul_coords(self.coords, tuple(_ONE if t == j else _ZERO for t in range(d)))
-                for j in range(d)]
-        return [[cols[j][i] for j in range(d)] for i in range(d)]
 
     def try_inv(self) -> "AlgebraElement | None":
         """Two-sided inverse, or None.  Silent form of :meth:`inv`.
@@ -355,6 +333,11 @@ def _poly_str(coeffs) -> str:
     return out
 
 
+# The root search trial-divides up to sqrt|c_0|, so coefficients are capped:
+# 10^12 costs about 0.1 s, and the cost grows like the square root.
+MAX_FIELD_COEFFICIENT = 10**12
+
+
 def _has_integer_root(coeffs) -> int | None:
     """An integer root of a monic integer polynomial, or None.
 
@@ -389,6 +372,9 @@ def field_algebra(coeffs) -> DivisionAlgebra:
     for i, c in enumerate(coeffs):
         if isinstance(c, bool) or not isinstance(c, int):
             raise ValidationError(f"field polynomial coefficients must be integers, got {c!r} at index {i}")
+        if abs(c) > MAX_FIELD_COEFFICIENT:
+            raise ValidationError(f"field polynomial coefficient at index {i} exceeds the supported "
+                                  "maximum absolute value 10^12")
         cs.append(c)
     m = len(cs) - 1
     if m < 1:
@@ -491,15 +477,6 @@ class CenterDescription:
         self.dim = len(self.basis)
         if self.dim == 0 or self.basis[0].coords != algebra.unit:
             raise ValidationError("center basis must start with the unit")
-        # columns of this matrix are the basis coordinate vectors
-        self._matrix = [[self.basis[j].coords[i] for j in range(self.dim)] for i in range(algebra.dim)]
-
-    def coords_in_center(self, coords):
-        """Center coordinates of a coordinate vector, or None if outside."""
-        return qlinalg.solve(self._matrix, list(coords))
-
-    def contains(self, coords) -> bool:
-        return self.coords_in_center(coords) is not None
 
 
 def center(algebra: DivisionAlgebra) -> CenterDescription:
@@ -553,10 +530,6 @@ class AlgebraAutomorphism:
                            for row in self.matrix)
         self._identity = den == 1 and all(row == ((i, 1),) for i, row in enumerate(self._rows))
 
-    def apply_coords(self, coords):
-        """Image of a coordinate vector, as Fractions."""
-        return self.apply(AlgebraElement(self.algebra, coords)).coords
-
     def apply(self, elem: AlgebraElement) -> AlgebraElement:
         if self._identity:
             return elem
@@ -600,15 +573,14 @@ def validate_automorphism(algebra: DivisionAlgebra, matrix, name: str | None = N
     mat = [list(r) for r in theta.matrix]
     if qlinalg.inverse(mat) is None:
         raise ValidationError(f"automorphism {name or ''} of {algebra.label} is not invertible".replace("  ", " "))
-    if theta.apply_coords(algebra.unit) != algebra.unit:
+    one = algebra.one()
+    if theta.apply(one) != one:
         raise ValidationError(f"automorphism {name or ''} of {algebra.label} does not fix the unit".replace("  ", " "))
-    d = algebra.dim
-    cols = [tuple(theta.matrix[r][j] for r in range(d)) for j in range(d)]
-    for i in range(d):
-        for j in range(d):
-            lhs = theta.apply_coords(algebra.table[i][j])
-            rhs = algebra.mul_coords(cols[i], cols[j])
-            if lhs != rhs:
+    basis = algebra.basis_elements()
+    images = [theta.apply(b) for b in basis]
+    for i, bi in enumerate(basis):
+        for j, bj in enumerate(basis):
+            if theta.apply(bi * bj) != images[i] * images[j]:
                 raise ValidationError(
                     f"matrix is not multiplicative on ({algebra.basis_labels[i]}, "
                     f"{algebra.basis_labels[j]}) over {algebra.label}"
@@ -621,7 +593,7 @@ def center_values(theta: AlgebraAutomorphism):
 
     Two automorphisms of D act alike on the center exactly when these agree.
     """
-    return tuple(theta.apply_coords(z.coords) for z in center(theta.algebra).basis)
+    return tuple(theta.apply(z).coords for z in center(theta.algebra).basis)
 
 
 class LiftTable:

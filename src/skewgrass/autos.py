@@ -168,11 +168,10 @@ def _intertwining_unit(alg: DivisionAlgebra, lefts, rights) -> AlgebraElement:
     basis = alg.basis_elements()
     system = []
     for left, right in zip(lefts, rights):
-        lmat = left.left_regular_matrix()
-        # column j of the right-regular matrix of ``right`` holds b_j * right
-        rcols = [(b * right).coords for b in basis]
+        # column c of this block holds left * b_c - b_c * right
+        cols = [(left * b - b * right).coords for b in basis]
         for r in range(d):
-            system.append([lmat[r][c] - rcols[c][r] for c in range(d)])
+            system.append([col[r] for col in cols])
     kernel = qlinalg.kernel_basis(system)
     if not kernel:
         raise ValidationError(f"no element of {alg.label} intertwines the two automorphisms")

@@ -1,9 +1,11 @@
 """Independent reference implementations used only by the tests.
 
 Everything here is written from scratch against plain commutative linear
-algebra over Q (row spaces, annihilators) and the published degree-bound
-formula, without importing the package's own linear algebra.  Agreement
-between the two is then evidence, not tautology.
+algebra over Q (row spaces, annihilators), the published degree-bound
+formula, and the structure constants of an algebra (only its ``dim``,
+``table`` and ``unit`` are read), without importing the package's own
+arithmetic or linear algebra.  Agreement between the two is then evidence,
+not tautology.
 """
 
 from __future__ import annotations
@@ -137,3 +139,76 @@ def q_inverse(rows):
                 f = aug[i][col]
                 aug[i] = [a - f * b for a, b in zip(aug[i], aug[col])]
     return tuple(tuple(row[n:]) for row in aug)
+
+
+# -- structure-constant algebras, from the table alone ---------------------
+
+
+def mul_coords(algebra, a, b):
+    """Product of two Fraction coordinate vectors, straight from algebra.table."""
+    d = algebra.dim
+    out = [Fraction(0)] * d
+    for i in range(d):
+        if not a[i]:
+            continue
+        for j in range(d):
+            if not b[j]:
+                continue
+            c = a[i] * b[j]
+            for k, s in enumerate(algebra.table[i][j]):
+                out[k] += c * s
+    return tuple(out)
+
+
+def _basis_vector(d, j):
+    return tuple(Fraction(int(t == j)) for t in range(d))
+
+
+def left_regular_matrix(algebra, a):
+    """Matrix of x -> a * x on coordinates (column j is a * b_j)."""
+    d = algebra.dim
+    cols = [mul_coords(algebra, a, _basis_vector(d, j)) for j in range(d)]
+    return [[cols[j][i] for j in range(d)] for i in range(d)]
+
+
+def matvec(rows, v):
+    """The product of a rational matrix and a vector."""
+    return tuple(sum((Fraction(x) * y for x, y in zip(row, v)), Fraction(0)) for row in rows)
+
+
+def table_verdict(algebra):
+    """The first failed check of a structure-constant table, or None.
+
+    ``algebra`` needs only ``dim``, ``table`` and ``unit``.  The checks,
+    in order: "unit" (a two-sided identity) and "associativity".
+    """
+    d = algebra.dim
+    basis = [_basis_vector(d, j) for j in range(d)]
+    unit = tuple(Fraction(c) for c in algebra.unit)
+    if any(mul_coords(algebra, unit, e) != e or mul_coords(algebra, e, unit) != e for e in basis):
+        return "unit"
+    for i in range(d):
+        for j in range(d):
+            for k in range(d):
+                left = mul_coords(algebra, algebra.table[i][j], basis[k])
+                if left != mul_coords(algebra, basis[i], algebra.table[j][k]):
+                    return "associativity"
+    return None
+
+
+def automorphism_verdict(algebra, matrix):
+    """The first failed check of a d x d matrix (column j the image of b_j), or None.
+
+    The checks, in order: "invertible", "unit fixed" and "multiplicative".
+    """
+    d = algebra.dim
+    if q_inverse(matrix) is None:
+        return "invertible"
+    if matvec(matrix, algebra.unit) != tuple(algebra.unit):
+        return "unit fixed"
+    cols = [tuple(Fraction(matrix[r][j]) for r in range(d)) for j in range(d)]
+    for i in range(d):
+        for j in range(d):
+            if matvec(matrix, algebra.table[i][j]) != mul_coords(algebra, cols[i], cols[j]):
+                return "multiplicative"
+    return None

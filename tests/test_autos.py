@@ -29,6 +29,11 @@ def test_block_indexing_roundtrip(Qi):
         assert block.unflatten(flat) == m
 
 
+def in_center(alg, x):
+    """x commutes with every basis element of alg."""
+    return all(x * b == b * x for b in alg.basis_elements())
+
+
 def identity_map(block):
     return tuple(tuple(row) for row in qlinalg.identity(block.dim_q))
 
@@ -134,7 +139,7 @@ def test_decompose_recovers_sigma_and_p(Qi):
     ratio = sg.matrix_inv(p) * p0
     lam = ratio.entries[0][0]
     assert ratio == sg.MatrixOverD.scalar(Qi, 2, lam)
-    assert sg.center(Qi).contains(lam.coords)
+    assert in_center(Qi, lam)
 
 
 def test_decompose_is_deterministic(H):
@@ -221,7 +226,7 @@ def test_decompose_inverts_from_pair(block, data):
     ratio = sg.matrix_inv(p0) * p
     lam = ratio.entries[0][0]
     assert ratio == sg.MatrixOverD.scalar(block.algebra, block.n, lam)
-    assert sg.center(block.algebra).contains(lam.coords)
+    assert in_center(block.algebra, lam)
 
 
 @pytest.mark.parametrize("first, second", [(0, 0), (0, 1), (1, 0), (1, 1)])
@@ -254,7 +259,7 @@ def test_a_composite_off_the_table_needs_a_non_central_unit(HQ2):
     eye = sg.MatrixOverD.identity(alg, 1)
     p, sigma = sg.compose_autos(block, (eye, tw), (eye, tw))
     assert sigma is lifts.identity
-    assert not sg.center(alg).contains(p.entries[0][0].coords)
+    assert not in_center(alg, p.entries[0][0])
 
 
 def test_composition_and_inverse_of_linear_maps(Qi):

@@ -196,6 +196,23 @@ def test_singular_lift_exits_2(tmp_path, capsys):
     assert "is not invertible" in json.loads(out)["error"]
 
 
+def test_large_field_coefficient_exits_2_at_once(tmp_path, capsys):
+    # the linear-factor search trial-divides up to sqrt|c_0|: a 30-digit
+    # constant term would never finish, so it is refused before the search
+    import time
+
+    from skewgrass import datasets
+    doc = datasets.demo_document("remark-A2")
+    doc["blocks"][0]["algebra"] = {"field": [10**30 + 1, 0, 1]}
+    path = tmp_path / "big_field.json"
+    path.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    code, out = run(capsys, "validate", str(path))
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert json.loads(out)["error"].startswith("blocks[0].algebra: field polynomial coefficient at index 0")
+
+
 def test_unreadable_json_exits_2(tmp_path, capsys):
     path = tmp_path / "junk.json"
     path.write_text("{nope")
